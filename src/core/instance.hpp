@@ -31,9 +31,12 @@ class Instance {
   /// Assembles and finalizes an instance.  Computes all-pairs shortest
   /// paths, assigns default BGP identifiers (bgp_id(v) = v) when `bgp_ids`
   /// is empty, and validates:
-  ///   - structural session constraints (netsim::validate),
+  ///   - structural session constraints (netsim::validate_structure, before
+  ///     any SPF is built),
   ///   - every exit point names an existing node.
-  /// Throws std::invalid_argument on any validation error.
+  /// Throws std::invalid_argument on any validation error.  The IGP
+  /// warnings (netsim::add_igp_warnings) are judged against the base epoch
+  /// igp() and reported by warnings().
   ///
   /// `ingress_maps` (empty, or one RouteMap per node) are per-node E-BGP
   /// import route-maps: map v is applied once, here, to every exit path

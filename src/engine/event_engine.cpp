@@ -288,13 +288,11 @@ void EventEngine::schedule_graceful_down(NodeId v, SimTime when) {
   push_fault(EventKind::kGracefulDown, v, kNoNode, when);
 }
 
-std::size_t EventEngine::require_link(NodeId a, NodeId b, const char* what) const {
-  const auto link = inst_->physical().find_link(a, b);
-  if (!link) {
+void EventEngine::require_link(NodeId a, NodeId b, const char* what) const {
+  if (!inst_->physical().find_link(a, b)) {
     throw std::invalid_argument(std::string("EventEngine::") + what +
                                 ": no such physical link");
   }
-  return *link;
 }
 
 void EventEngine::schedule_link_cost_change(NodeId a, NodeId b, Cost cost,

@@ -641,8 +641,9 @@ class EventEngine {
     return static_cast<std::size_t>(from) * inst_->node_count() + to;
   }
   void push_fault(EventKind kind, NodeId a, NodeId b, SimTime when, Cost cost = 0);
-  /// Validates that a—b is a physical link and returns its index.
-  [[nodiscard]] std::size_t require_link(NodeId a, NodeId b, const char* what) const;
+  /// Throws unless a—b is a physical link.  Link faults carry the endpoints
+  /// (as checkpoints store them); apply_link_fault resolves the index.
+  void require_link(NodeId a, NodeId b, const char* what) const;
   /// Applies a link fault: mutates link_state_ and, if the effective cost
   /// vector changed, swaps in the memoized epoch, severs sessions that lost
   /// IGP reachability, and re-evaluates every up node.

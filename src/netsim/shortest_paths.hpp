@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netsim/physical_graph.hpp"
@@ -20,11 +21,30 @@ namespace ibgp::netsim {
 
 class ShortestPaths {
  public:
-  /// Runs Dijkstra from every node and precomputes the deterministic
-  /// next-hop matrix.  O(n * m log n).  The graph is only used during
-  /// construction — the object holds no reference to it afterwards, so it
-  /// stays valid across moves/destruction of the source graph.
+  /// Runs Dijkstra from every node; each pass also yields the deterministic
+  /// next hops toward its root.  O(n * m log n).  The graph is only used
+  /// during construction — the object holds no reference to it afterwards,
+  /// so it stays valid across moves/destruction of the source graph.
   explicit ShortestPaths(const PhysicalGraph& graph);
+
+  /// The epoch of `topology` with its link costs replaced by `costs`
+  /// (index-aligned with topology.links(), kInfCost = link down).
+  ///
+  /// Given `parent` — the epoch of the same topology under `parent_costs` —
+  /// it starts from a copy of the parent and re-runs Dijkstra only from the
+  /// roots whose distances or tight-edge DAG a changed link can touch:
+  ///   - a link whose cost rose or which went down, when it was tight from
+  ///     the root (d(v,a) + c_old == d(v,b), either direction);
+  ///   - a link whose cost fell or which came up, when d(v,a) + c_new <=
+  ///     d(v,b) in either direction or exactly one end was unreachable.
+  /// For every other root the parent's distances stay a feasible potential
+  /// that no shortest path loses, so its row, column and next hops carry
+  /// over unchanged.  Without a parent every root is recomputed.  Either
+  /// way the result is identical to a from-scratch build, fingerprint
+  /// included.  Throws std::invalid_argument on a size mismatch.
+  ShortestPaths(const PhysicalGraph& topology, std::span<const Cost> costs,
+                const ShortestPaths* parent = nullptr,
+                std::span<const Cost> parent_costs = {});
 
   [[nodiscard]] std::size_t node_count() const { return n_; }
 

@@ -1,5 +1,7 @@
 #include "netsim/spf_cache.hpp"
 
+#include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -28,20 +30,31 @@ std::shared_ptr<const ShortestPaths> SpfCache::get(std::span<const Cost> effecti
   if (misses_ != nullptr) misses_->increment();
   if (inserts_ != nullptr) inserts_->increment();
 
-  // Materialize the churned graph: base topology with the effective costs,
-  // down links (kInfCost) omitted entirely.  Dijkstra then reports whatever
-  // became unreachable as kInfCost distances.  The span times graph
-  // materialization + Dijkstra — the baseline the ROADMAP incremental-SPF
-  // item must beat (null sink when no registry is attached).
+  // Derive the epoch from whichever of the pinned base and the most
+  // recently used epoch differs from the key in fewer links: only the
+  // roots a changed link touches re-run Dijkstra (see ShortestPaths).  The
+  // very first key has no parent and is built from scratch.  The span
+  // times the whole derivation (null sink when no registry is attached).
   std::shared_ptr<const ShortestPaths> spf;
   {
     const obs::Span recompute_span(recompute_ns_);
-    PhysicalGraph churned(base_.node_count());
-    const auto links = base_.links();
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (key[i] != kInfCost) churned.add_link(links[i].a, links[i].b, key[i]);
+    const auto differing = [&key](const std::vector<Cost>& other) {
+      return std::transform_reduce(key.begin(), key.end(), other.begin(), std::size_t{0},
+                                   std::plus<>{}, std::not_equal_to<>{});
+    };
+    auto parent = cache_.end();  // the pinned base, then possibly the MRU
+    auto mru = cache_.end();
+    for (auto entry = cache_.begin(); entry != cache_.end(); ++entry) {
+      if (entry->second.pinned) parent = entry;
+      if (mru == cache_.end() || entry->second.last_use > mru->second.last_use) mru = entry;
     }
-    spf = std::make_shared<const ShortestPaths>(churned);
+    if (parent == cache_.end()) {
+      spf = std::make_shared<const ShortestPaths>(base_, key);
+    } else {
+      if (differing(mru->first) < differing(parent->first)) parent = mru;
+      spf = std::make_shared<const ShortestPaths>(base_, key, parent->second.spf.get(),
+                                                  parent->first);
+    }
   }
   if (capacity_ != 0 && cache_.size() >= capacity_) evict_lru_locked();
   Entry entry;

@@ -9,7 +9,9 @@
 // mapping is key -> value for a *pure* value, which keeps sweep results
 // byte-identical regardless of which thread first computed an epoch; only
 // hit/miss counters are schedule-dependent, and they are deliberately not
-// part of any per-cell result or trace hash.
+// part of any per-cell result or trace hash.  A miss derives its epoch from
+// a cached parent, and which parent depends on lookup order, but the
+// derivation is exact: the value never depends on the parent.
 //
 // Epochs are handed out as shared_ptr<const ShortestPaths>: an engine holds
 // its current epoch alive independently of the cache and of other engines,
@@ -47,7 +49,11 @@ class SpfCache {
   explicit SpfCache(const PhysicalGraph& base);
 
   /// The all-pairs shortest paths for the given effective link costs
-  /// (kInfCost = link down), computing and memoizing on first sight.
+  /// (kInfCost = link down), computing and memoizing on first sight.  A
+  /// miss derives the new epoch from a parent — whichever of the pinned
+  /// base and the most recently used epoch differs from the key in fewer
+  /// links — re-running Dijkstra only from the roots a changed link
+  /// touches; the result is identical to a from-scratch build.
   /// Throws std::invalid_argument on a size mismatch with the base graph.
   std::shared_ptr<const ShortestPaths> get(std::span<const Cost> effective);
 
@@ -75,9 +81,8 @@ class SpfCache {
 
   /// Mirrors the counters into `registry` as the volatile metrics
   /// "spf.hits" / "spf.misses" / "spf.inserts", from now on, and records
-  /// each miss's recompute wall time into the volatile span histogram
-  /// "spf.recompute_ns" — the measured baseline for the ROADMAP
-  /// incremental-SPF item.  Pass nullptr to detach.
+  /// each miss's wall time — deriving the epoch from its parent — into the
+  /// volatile span histogram "spf.recompute_ns".  Pass nullptr to detach.
   void attach_metrics(obs::MetricsRegistry* registry);
 
  private:

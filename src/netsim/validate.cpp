@@ -2,16 +2,14 @@
 
 #include <string>
 
-#include "netsim/shortest_paths.hpp"
-
 namespace ibgp::netsim {
 
 namespace {
 std::string node_name(NodeId v) { return "node " + std::to_string(v); }
 }  // namespace
 
-ValidationReport validate(const PhysicalGraph& physical, const ClusterLayout& layout,
-                          const SessionGraph& sessions) {
+ValidationReport validate_structure(const PhysicalGraph& physical, const ClusterLayout& layout,
+                                    const SessionGraph& sessions) {
   ValidationReport report;
 
   if (physical.node_count() != layout.node_count() ||
@@ -67,25 +65,36 @@ ValidationReport validate(const PhysicalGraph& physical, const ClusterLayout& la
     }
   }
 
-  if (!physical.connected()) {
-    report.warnings.push_back(
-        "physical graph is disconnected: some exit points are unreachable");
-  } else {
-    // Triangle-inequality check over reflector-mesh pairs with direct links
-    // (footnote: I-BGP sessions ride shortest IGP paths, so direct costs
-    // should not exceed the shortest-path cost).
-    const ShortestPaths igp(physical);
-    for (const auto& link : physical.links()) {
-      if (igp.cost(link.a, link.b) < link.cost) {
-        report.warnings.push_back("physical link " + node_name(link.a) + " — " +
-                                  node_name(link.b) + " (cost " + std::to_string(link.cost) +
-                                  ") is costlier than the shortest path between its ends (" +
-                                  std::to_string(igp.cost(link.a, link.b)) +
-                                  "); triangle inequality violated");
-      }
+  return report;
+}
+
+void add_igp_warnings(const PhysicalGraph& physical, const ShortestPaths& igp,
+                      ValidationReport& report) {
+  for (NodeId v = 0; v < igp.node_count(); ++v) {
+    if (!igp.reachable(0, v)) {
+      report.warnings.push_back(
+          "physical graph is disconnected: some exit points are unreachable");
+      return;
     }
   }
+  // Triangle-inequality check over physical links (footnote: I-BGP sessions
+  // ride shortest IGP paths, so direct costs should not exceed the
+  // shortest-path cost).
+  for (const auto& link : physical.links()) {
+    if (igp.cost(link.a, link.b) < link.cost) {
+      report.warnings.push_back("physical link " + node_name(link.a) + " — " +
+                                node_name(link.b) + " (cost " + std::to_string(link.cost) +
+                                ") is costlier than the shortest path between its ends (" +
+                                std::to_string(igp.cost(link.a, link.b)) +
+                                "); triangle inequality violated");
+    }
+  }
+}
 
+ValidationReport validate(const PhysicalGraph& physical, const ClusterLayout& layout,
+                          const SessionGraph& sessions) {
+  auto report = validate_structure(physical, layout, sessions);
+  if (report.ok()) add_igp_warnings(physical, ShortestPaths(physical), report);
   return report;
 }
 

@@ -353,6 +353,23 @@ TEST(Instance, RejectsOutOfRangeExitPoint) {
                std::invalid_argument);
 }
 
+TEST(Instance, WarnsOnTriangleViolationFromBaseEpoch) {
+  // RA—RB costs 9 directly but 2 via the client: the warning is judged
+  // against the instance's own base epoch and must survive construction.
+  topo::InstanceBuilder b;
+  b.reflector("RA", 0);
+  b.reflector("RB", 1);
+  b.client("c", 0);
+  b.link("RA", "c", 1);
+  b.link("c", "RB", 1);
+  b.link("RA", "RB", 9);
+  const auto inst = b.build("triangle");
+  ASSERT_EQ(inst.warnings().size(), 1u);
+  EXPECT_NE(inst.warnings()[0].find("triangle inequality violated"), std::string::npos);
+  EXPECT_NE(inst.warnings()[0].find("(2)"), std::string::npos) << inst.warnings()[0];
+  EXPECT_EQ(inst.igp().cost(inst.find_node("RA"), inst.find_node("RB")), 2);
+}
+
 TEST(Instance, NodeNamesDefaultAndLookup) {
   const auto inst = topo::fig1a();
   EXPECT_EQ(inst.node_name(inst.find_node("A")), "A");
