@@ -30,7 +30,7 @@ void report() {
   bench::report_grid(inst);
 
   std::printf("\nMED mitigations (standard protocol, per Section 1):\n");
-  for (const auto [label, mode] :
+  for (const auto& [label, mode] :
        {std::pair{"ignore-med", bgp::MedMode::kIgnore},
         std::pair{"always-compare-med", bgp::MedMode::kAlwaysCompare}}) {
     bgp::SelectionPolicy policy;

@@ -21,7 +21,7 @@ void report() {
                  "converges under prefer-E-BGP ordering; diverges (fully "
                  "meshed!) under the RFC-1771 IGP-cost-first ordering");
 
-  for (const auto [label, order] :
+  for (const auto& [label, order] :
        {std::pair{"prefer-ebgp-first (paper default)", bgp::RuleOrder::kPreferEbgpFirst},
         std::pair{"igp-cost-first (RFC 1771 style)", bgp::RuleOrder::kIgpCostFirst}}) {
     bgp::SelectionPolicy policy;

@@ -154,7 +154,7 @@ void report() {
   std::printf("  %-22s | oscillate | converge | undecided\n", "med mode");
   util::json::Array ablation_rows;
   topo::RandomConfig ablation = ensembles[1].config;
-  for (const auto [label, mode] :
+  for (const auto& [label, mode] :
        {std::pair{"per-neighbor-AS (spec)", bgp::MedMode::kPerNeighborAs},
         std::pair{"always-compare-med", bgp::MedMode::kAlwaysCompare},
         std::pair{"ignore-med", bgp::MedMode::kIgnore}}) {

@@ -88,7 +88,7 @@ void report() {
       "  clusters exits | protocol  | nodes | conv | mean steps | mean msgs | mean |adv|\n");
   std::printf(
       "  ---------------+-----------+-------+------+------------+-----------+-----------\n");
-  for (const auto [clusters, exits] :
+  for (const auto& [clusters, exits] :
        {std::pair<std::size_t, std::size_t>{2, 4}, {4, 6}, {6, 8}, {8, 10}, {12, 12}}) {
     for (const auto kind : {core::ProtocolKind::kStandard, core::ProtocolKind::kWalton,
                             core::ProtocolKind::kModified}) {

@@ -6,7 +6,7 @@
 // demand that the oscillation be MED-induced (vanishes with MEDs ignored)
 // and that the paper's modified protocol converge on the same instance.
 //
-//   $ ./counterexample_finder --protocol walton --med-induced \
+//   $ ./counterexample_finder --protocol walton --med-induced
 //         --clusters 4 --exits 5 --attempts 200000
 
 #include <cstdio>

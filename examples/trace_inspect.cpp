@@ -48,7 +48,7 @@ std::string label(const std::map<std::int64_t, std::string>& names, std::int64_t
   const auto it = names.find(id);
   if (it != names.end()) return it->second;
   if (id < 0) return "(none)";
-  return "#" + std::to_string(id);
+  return '#' + std::to_string(id);
 }
 
 /// Smallest period p (1 <= p <= len/2) such that the last 2*p entries of

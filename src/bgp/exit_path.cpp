@@ -6,7 +6,7 @@ namespace ibgp::bgp {
 
 std::string to_string(const ExitPath& path) {
   std::ostringstream oss;
-  oss << (path.name.empty() ? ("p" + std::to_string(path.id)) : path.name) << "[exit="
+  oss << (path.name.empty() ? ('p' + std::to_string(path.id)) : path.name) << "[exit="
       << path.exit_point << " AS" << path.next_as << " lp=" << path.local_pref
       << " len=" << path.as_path_length << " med=" << path.med << " ec=" << path.exit_cost;
   if (path.communities != 0) {

@@ -7,7 +7,7 @@ namespace ibgp::bgp {
 PathId ExitTable::add(ExitPath path) {
   const auto id = static_cast<PathId>(paths_.size());
   path.id = id;
-  if (path.name.empty()) path.name = "p" + std::to_string(id);
+  if (path.name.empty()) path.name = 'p' + std::to_string(id);
   paths_.push_back(std::move(path));
   return id;
 }

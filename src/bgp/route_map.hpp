@@ -33,14 +33,14 @@ namespace ibgp::bgp {
 struct RouteMapClause {
   // --- match conditions ---------------------------------------------------
   /// Match routes through this neighboring AS only.
-  std::optional<AsId> match_as;
+  std::optional<AsId> match_as{};
   /// Match routes carrying ALL of these community tags (bitmask; 0 = no
   /// community condition).
   std::uint32_t match_communities = 0;
 
   // --- actions ------------------------------------------------------------
-  std::optional<LocalPref> set_local_pref;
-  std::optional<Med> set_med;
+  std::optional<LocalPref> set_local_pref{};
+  std::optional<Med> set_med{};
   /// Community tags attached on top of whatever the path already carries.
   std::uint32_t add_communities = 0;
 

@@ -212,19 +212,9 @@ util::json::Value engine_state_json(const engine::EngineState& state) {
 
   {
     Object counters;
-    counters.emplace_back("updates_sent", state.updates_sent);
-    counters.emplace_back("best_flips", state.best_flips);
-    counters.emplace_back("messages_dropped", state.messages_dropped);
-    counters.emplace_back("messages_duplicated", state.messages_duplicated);
-    counters.emplace_back("deliveries_voided", state.deliveries_voided);
-    counters.emplace_back("eor_sent", state.eor_sent);
-    counters.emplace_back("stale_retained", state.stale_retained);
-    counters.emplace_back("stale_swept_eor", state.stale_swept_eor);
-    counters.emplace_back("stale_swept_expired", state.stale_swept_expired);
-    counters.emplace_back("igp_swaps", state.igp_swaps);
-    counters.emplace_back("decisions_total", state.decisions_total);
-    counters.emplace_back("decisions_empty", state.decisions_empty);
-    counters.emplace_back("mrai_deferrals", state.mrai_deferrals);
+    for (const engine::EngineCounterField& field : engine::kEngineCounterFields) {
+      if (!field.ckpt.empty()) counters.emplace_back(field.ckpt, state.counters.*field.member);
+    }
     doc.emplace_back("counters", std::move(counters));
   }
 
@@ -365,19 +355,9 @@ engine::EngineState parse_engine_state(const util::json::Value& doc) {
   }
 
   const Value& counters = field(doc, "counters");
-  state.updates_sent = get_uint(counters, "updates_sent");
-  state.best_flips = get_uint(counters, "best_flips");
-  state.messages_dropped = get_uint(counters, "messages_dropped");
-  state.messages_duplicated = get_uint(counters, "messages_duplicated");
-  state.deliveries_voided = get_uint(counters, "deliveries_voided");
-  state.eor_sent = get_uint(counters, "eor_sent");
-  state.stale_retained = get_uint(counters, "stale_retained");
-  state.stale_swept_eor = get_uint(counters, "stale_swept_eor");
-  state.stale_swept_expired = get_uint(counters, "stale_swept_expired");
-  state.igp_swaps = get_uint(counters, "igp_swaps");
-  state.decisions_total = get_uint(counters, "decisions_total");
-  state.decisions_empty = get_uint(counters, "decisions_empty");
-  state.mrai_deferrals = get_uint(counters, "mrai_deferrals");
+  for (const engine::EngineCounterField& field : engine::kEngineCounterFields) {
+    if (!field.ckpt.empty()) state.counters.*field.member = get_uint(counters, field.ckpt);
+  }
 
   state.decisions_by_rule = get_rules(field(doc, "decisions_by_rule"));
   for (const auto& rules : field(doc, "decisions_by_node").as_array()) {

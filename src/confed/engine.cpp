@@ -314,7 +314,7 @@ ConfedInstance random_confederation(const RandomConfedConfig& config, std::uint6
                   static_cast<std::int64_t>(config.max_routers)));
     for (std::size_t i = 0; i < count; ++i) {
       members[s].push_back(static_cast<NodeId>(sub_as_of.size()));
-      names.push_back("s" + std::to_string(s) + "r" + std::to_string(i));
+      names.push_back('s' + std::to_string(s) + "r" + std::to_string(i));
       sub_as_of.push_back(s);
     }
   }
@@ -357,7 +357,7 @@ ConfedInstance random_confederation(const RandomConfedConfig& config, std::uint6
   bgp::ExitTable exits;
   for (std::size_t i = 0; i < config.exits; ++i) {
     bgp::ExitPath path;
-    path.name = "r" + std::to_string(i + 1);
+    path.name = 'r' + std::to_string(i + 1);
     path.exit_point = static_cast<NodeId>(rng.below(n));
     path.next_as = static_cast<AsId>(1 + rng.below(std::max<std::size_t>(1, config.neighbor_ases)));
     path.med = static_cast<Med>(rng.range(0, static_cast<std::int64_t>(config.max_med)));

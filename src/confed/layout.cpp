@@ -39,7 +39,7 @@ ConfedInstance::ConfedInstance(std::string name, netsim::PhysicalGraph physical,
   }
   if (node_names_.empty()) {
     node_names_.reserve(n);
-    for (NodeId v = 0; v < n; ++v) node_names_.push_back("n" + std::to_string(v));
+    for (NodeId v = 0; v < n; ++v) node_names_.push_back('n' + std::to_string(v));
   } else if (node_names_.size() != n) {
     throw std::invalid_argument("ConfedInstance: node_names size mismatch");
   }

@@ -62,7 +62,7 @@ Instance::Instance(std::string name, netsim::PhysicalGraph physical,
   if (node_names_.empty()) {
     node_names_.reserve(physical_.node_count());
     for (NodeId v = 0; v < physical_.node_count(); ++v) {
-      node_names_.push_back("n" + std::to_string(v));
+      node_names_.push_back('n' + std::to_string(v));
     }
   } else if (node_names_.size() != physical_.node_count()) {
     throw std::invalid_argument("Instance '" + name_ + "': node_names size mismatch");

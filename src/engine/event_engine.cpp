@@ -94,20 +94,7 @@ std::string rule_metric_name(std::size_t rule) {
 
 void register_event_engine_metrics(obs::MetricsRegistry& registry) {
   registry.counter("engine.deliveries");
-  registry.counter("engine.updates_sent");
-  registry.counter("engine.deliveries_voided");
-  registry.counter("engine.messages_dropped");
-  registry.counter("engine.messages_duplicated");
-  registry.counter("engine.best_flips");
-  registry.counter("engine.mrai_deferrals");
-  registry.counter("engine.faults_applied");
-  registry.counter("engine.eor_markers_sent");
-  registry.counter("engine.stale_retained");
-  registry.counter("engine.stale_swept_eor");
-  registry.counter("engine.stale_swept_expired");
-  registry.counter("engine.igp_epoch_swaps");
-  registry.counter("engine.decisions");
-  registry.counter("engine.decisions_empty");
+  for (const EngineCounterField& field : kEngineCounterFields) registry.counter(field.metric);
   for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
     registry.counter(rule_metric_name(rule));
   }
@@ -129,20 +116,9 @@ void EventEngine::set_metrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   register_event_engine_metrics(*registry);
   handles_.deliveries = &registry->counter("engine.deliveries");
-  handles_.updates_sent = &registry->counter("engine.updates_sent");
-  handles_.deliveries_voided = &registry->counter("engine.deliveries_voided");
-  handles_.messages_dropped = &registry->counter("engine.messages_dropped");
-  handles_.messages_duplicated = &registry->counter("engine.messages_duplicated");
-  handles_.best_flips = &registry->counter("engine.best_flips");
-  handles_.mrai_deferrals = &registry->counter("engine.mrai_deferrals");
-  handles_.faults_applied = &registry->counter("engine.faults_applied");
-  handles_.eor_markers_sent = &registry->counter("engine.eor_markers_sent");
-  handles_.stale_retained = &registry->counter("engine.stale_retained");
-  handles_.stale_swept_eor = &registry->counter("engine.stale_swept_eor");
-  handles_.stale_swept_expired = &registry->counter("engine.stale_swept_expired");
-  handles_.igp_epoch_swaps = &registry->counter("engine.igp_epoch_swaps");
-  handles_.decisions = &registry->counter("engine.decisions");
-  handles_.decisions_empty = &registry->counter("engine.decisions_empty");
+  for (std::size_t row = 0; row < kEngineCounterFields.size(); ++row) {
+    handles_.counters[row] = &registry->counter(kEngineCounterFields[row].metric);
+  }
   for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
     handles_.decided[rule] = &registry->counter(rule_metric_name(rule));
   }
@@ -173,14 +149,11 @@ void EventEngine::set_trace(obs::TraceSink* trace) {
 void EventEngine::emit_trace_preamble() {
   // meta + node/path directory records so trace consumers (trace_inspect)
   // can label ids without the instance at hand.
-  {
-    util::json::Object fields;
-    fields.emplace_back("instance", inst_->name());
-    fields.emplace_back("protocol", core::protocol_name(protocol_));
-    fields.emplace_back("nodes", static_cast<std::uint64_t>(inst_->node_count()));
-    fields.emplace_back("paths", static_cast<std::uint64_t>(inst_->exits().size()));
-    trace_->emit(0, "meta", std::move(fields));
-  }
+  trace_->emit(0, "meta",
+               {{"instance", inst_->name()},
+                {"protocol", core::protocol_name(protocol_)},
+                {"nodes", static_cast<std::uint64_t>(inst_->node_count())},
+                {"paths", static_cast<std::uint64_t>(inst_->exits().size())}});
   for (NodeId v = 0; v < inst_->node_count(); ++v) {
     util::json::Object fields;
     fields.emplace_back("id", v);
@@ -394,21 +367,21 @@ void EventEngine::push_update(NodeId from, NodeId to, PathId path, bool announce
 void EventEngine::enqueue_update(NodeId from, NodeId to, PathId path, bool announce,
                                  SimTime now) {
   const std::uint64_t msg_seq = session_msg_seq_++;
-  ++updates_sent_;
+  ++counters_.updates_sent;
   MessageFate fate = MessageFate::kDeliver;
   if (injector_) fate = injector_->classify(from, to, msg_seq);
   if (fate == MessageFate::kDrop) {
     // The sender still believes the message went out (advertised_out was
     // already updated); the receiver's RIB silently diverges until a repair
     // — exactly the perturbation the invariant checker hunts.
-    ++messages_dropped_;
+    ++counters_.messages_dropped;
     injector_->on_drop(*this, from, to, now);
     return;
   }
   push_update(from, to, path, announce, now, msg_seq);
   if (fate == MessageFate::kDuplicate) {
-    ++messages_duplicated_;
-    ++updates_sent_;
+    ++counters_.messages_duplicated;
+    ++counters_.updates_sent;
     push_update(from, to, path, announce, now, session_msg_seq_++);
   }
 }
@@ -437,17 +410,17 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     return core::decide(*inst_, *igp_, protocol_, u, candidates, &provenance);
   }();
   if (provenance.selected) {
-    ++decisions_total_;
+    ++counters_.decisions_total;
     ++decisions_by_rule_[rule_index(provenance.decisive)];
     ++decisions_by_node_[u][rule_index(provenance.decisive)];
   } else {
-    ++decisions_empty_;
+    ++counters_.decisions_empty;
   }
 
   const PathId old_best = node.best ? node.best->path : kNoPath;
   const PathId new_best = decision.best ? decision.best->path : kNoPath;
   if (old_best != new_best) {
-    ++best_flips_;
+    ++counters_.best_flips;
     ++flips_by_node_[u];
     flap_log_.push_back({now, u, old_best, new_best});
   }
@@ -501,7 +474,7 @@ void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
   if (!session_up(u, peer)) return;  // nothing flows on a downed session
   if (mrai_ > 0 && now < node.mrai_ready[peer_index]) {
     // Inside the hold-down window: batch the change into one deferred flush.
-    ++mrai_deferrals_;
+    ++counters_.mrai_deferrals;
     if (!node.flush_scheduled[peer_index]) {
       node.flush_scheduled[peer_index] = true;
       Event event;
@@ -542,14 +515,13 @@ void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
 
 void EventEngine::record_fault(const FaultRecord& record) {
   fault_log_.push_back(record);
+  ++counters_.faults_applied;
   if (tracing()) {
-    util::json::Object fields;
-    fields.emplace_back("kind", fault_kind_name(record.kind));
-    fields.emplace_back("a", record.a == kNoNode ? std::int64_t{-1}
-                                                 : std::int64_t{record.a});
-    fields.emplace_back("b", record.b == kNoNode ? std::int64_t{-1}
-                                                 : std::int64_t{record.b});
-    fields.emplace_back("cost", record.cost);
+    util::json::Object fields{
+        {"kind", fault_kind_name(record.kind)},
+        {"a", record.a == kNoNode ? std::int64_t{-1} : std::int64_t{record.a}},
+        {"b", record.b == kNoNode ? std::int64_t{-1} : std::int64_t{record.b}},
+        {"cost", record.cost}};
     if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
     if (cause_parent_ != kNoCause) fields.emplace_back("pid", cause_parent_);
     trace_->emit(record.time, "fault", std::move(fields));
@@ -559,7 +531,7 @@ void EventEngine::record_fault(const FaultRecord& record) {
 void EventEngine::record_best_loss(NodeId v, SimTime now) {
   NodeState& node = nodes_[v];
   if (!node.best) return;
-  ++best_flips_;
+  ++counters_.best_flips;
   ++flips_by_node_[v];
   flap_log_.push_back({now, v, node.best->path, kNoPath});
   node.best.reset();
@@ -605,7 +577,7 @@ void EventEngine::detach_session_graceful(NodeId v, NodeId w) {
     const auto it = std::lower_bound(stale.begin(), stale.end(), v);
     if (it == stale.end() || *it != v) {
       stale.insert(it, v);
-      ++stale_retained_;
+      ++counters_.stale_retained;
     }
   }
 }
@@ -649,7 +621,7 @@ void EventEngine::send_end_of_rib(NodeId v, NodeId w, SimTime now) {
   event.time = std::max(requested, last);
   last = event.time;
   queue_.push(event);
-  ++eor_sent_;
+  ++counters_.eor_markers_sent;
 }
 
 void EventEngine::sever_session(NodeId u, NodeId v) {
@@ -790,12 +762,12 @@ void EventEngine::apply_end_of_rib(NodeId v, NodeId w, std::uint64_t epoch, SimT
   }
   if (epoch != session_epoch_[sess(v, w)]) {
     // The session reset after the marker was sent: it died in flight.
-    ++deliveries_voided_;
+    ++counters_.deliveries_voided;
     return;
   }
   const std::size_t swept = sweep_stale_from(w, v);
   if (swept > 0) {
-    stale_swept_eor_ += swept;
+    counters_.stale_swept_eor += swept;
     reconsider(w, now);
   }
 }
@@ -822,7 +794,7 @@ void EventEngine::apply_stale_expire(NodeId v, std::uint64_t generation, SimTime
   if (swept_total > 0) {
     // Logged only when it actually degraded to a cold flush — a timer that
     // fires after a completed recovery is a silent no-op.
-    stale_swept_expired_ += swept_total;
+    counters_.stale_swept_expired += swept_total;
     record_fault({now, FaultKind::kStaleExpire, v, kNoNode});
   }
 }
@@ -858,13 +830,13 @@ void EventEngine::apply_link_fault(EventKind kind, NodeId a, NodeId b, Cost cost
   record_fault({now, record, a, b, cost});
   const auto prev = igp_;
   igp_ = inst_->igp_epoch(link_state_.effective());
-  ++igp_swaps_;
+  ++counters_.igp_epoch_swaps;
   igp_log_.push_back({now, igp_->fingerprint(), igp_,
                       {link_state_.effective().begin(), link_state_.effective().end()}});
   if (tracing()) {
     util::json::Object fields;
     fields.emplace_back("fingerprint", igp_->fingerprint());
-    fields.emplace_back("swaps", static_cast<std::uint64_t>(igp_swaps_));
+    fields.emplace_back("swaps", counters_.igp_epoch_swaps);
     trace_->emit(now, "igp-epoch", std::move(fields));
   }
 
@@ -978,7 +950,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
         }
         if (voided) {
           // Sent before a reset of this session: the message died with it.
-          ++deliveries_voided_;
+          ++counters_.deliveries_voided;
           break;
         }
         auto& holders = nodes_[event.to].holders[event.path];
@@ -1006,7 +978,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
           // cleared it), and the re-established session already replayed a
           // full sync.  Firing it would leak a stale scheduled advertisement
           // into the new session epoch.
-          ++deliveries_voided_;
+          ++counters_.deliveries_voided;
           break;
         }
         if (tracing()) {
@@ -1091,20 +1063,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
       pending.pop();
     }
   }
-  result.updates_sent = updates_sent_;
-  result.best_flips = best_flips_;
-  result.messages_dropped = messages_dropped_;
-  result.messages_duplicated = messages_duplicated_;
-  result.deliveries_voided = deliveries_voided_;
-  result.faults_applied = fault_log_.size();
-  result.eor_markers_sent = eor_sent_;
-  result.stale_retained = stale_retained_;
-  result.stale_swept_eor = stale_swept_eor_;
-  result.stale_swept_expired = stale_swept_expired_;
-  result.igp_epoch_swaps = igp_swaps_;
-  result.decisions_total = decisions_total_;
-  result.decisions_empty = decisions_empty_;
-  result.mrai_deferrals = mrai_deferrals_;
+  static_cast<EngineCounters&>(result) = counters_;
   result.decisions_by_rule = decisions_by_rule_;
   result.decisions_by_node = decisions_by_node_;
   result.final_best.reserve(nodes_.size());
@@ -1131,24 +1090,12 @@ void EventEngine::flush_metrics(const Result& result) {
     pushed = current;
   };
   handles_.deliveries->add(result.deliveries);  // per-run, not cumulative
-  push(handles_.updates_sent, updates_sent_, flushed_.updates_sent);
-  push(handles_.deliveries_voided, deliveries_voided_, flushed_.deliveries_voided);
-  push(handles_.messages_dropped, messages_dropped_, flushed_.messages_dropped);
-  push(handles_.messages_duplicated, messages_duplicated_,
-       flushed_.messages_duplicated);
-  push(handles_.best_flips, best_flips_, flushed_.best_flips);
-  push(handles_.mrai_deferrals, mrai_deferrals_, flushed_.mrai_deferrals);
-  push(handles_.faults_applied, fault_log_.size(), flushed_.faults_applied);
-  push(handles_.eor_markers_sent, eor_sent_, flushed_.eor_markers_sent);
-  push(handles_.stale_retained, stale_retained_, flushed_.stale_retained);
-  push(handles_.stale_swept_eor, stale_swept_eor_, flushed_.stale_swept_eor);
-  push(handles_.stale_swept_expired, stale_swept_expired_,
-       flushed_.stale_swept_expired);
-  push(handles_.igp_epoch_swaps, igp_swaps_, flushed_.igp_epoch_swaps);
-  push(handles_.decisions, decisions_total_, flushed_.decisions);
-  push(handles_.decisions_empty, decisions_empty_, flushed_.decisions_empty);
+  for (std::size_t row = 0; row < kEngineCounterFields.size(); ++row) {
+    const auto member = kEngineCounterFields[row].member;
+    push(handles_.counters[row], counters_.*member, flushed_.*member);
+  }
   for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
-    push(handles_.decided[rule], decisions_by_rule_[rule], flushed_.decided[rule]);
+    push(handles_.decided[rule], decisions_by_rule_[rule], flushed_decided_[rule]);
   }
   handles_.queue_depth_max->record_max(static_cast<std::int64_t>(max_queue_depth_));
 }
@@ -1228,19 +1175,7 @@ EngineState EventEngine::capture() const {
   state.next_seq = next_seq_;
   state.session_msg_seq = session_msg_seq_;
 
-  state.updates_sent = updates_sent_;
-  state.best_flips = best_flips_;
-  state.messages_dropped = messages_dropped_;
-  state.messages_duplicated = messages_duplicated_;
-  state.deliveries_voided = deliveries_voided_;
-  state.eor_sent = eor_sent_;
-  state.stale_retained = stale_retained_;
-  state.stale_swept_eor = stale_swept_eor_;
-  state.stale_swept_expired = stale_swept_expired_;
-  state.igp_swaps = igp_swaps_;
-  state.decisions_total = decisions_total_;
-  state.decisions_empty = decisions_empty_;
-  state.mrai_deferrals = mrai_deferrals_;
+  state.counters = counters_;
   state.decisions_by_rule = decisions_by_rule_;
   state.decisions_by_node = decisions_by_node_;
   state.flips_by_node.assign(flips_by_node_.begin(), flips_by_node_.end());
@@ -1395,25 +1330,14 @@ void EventEngine::restore(const EngineState& state) {
   next_seq_ = state.next_seq;
   session_msg_seq_ = state.session_msg_seq;
 
-  updates_sent_ = state.updates_sent;
-  best_flips_ = state.best_flips;
-  messages_dropped_ = state.messages_dropped;
-  messages_duplicated_ = state.messages_duplicated;
-  deliveries_voided_ = state.deliveries_voided;
-  eor_sent_ = state.eor_sent;
-  stale_retained_ = state.stale_retained;
-  stale_swept_eor_ = state.stale_swept_eor;
-  stale_swept_expired_ = state.stale_swept_expired;
-  igp_swaps_ = state.igp_swaps;
-  decisions_total_ = state.decisions_total;
-  decisions_empty_ = state.decisions_empty;
-  mrai_deferrals_ = state.mrai_deferrals;
+  counters_ = state.counters;
   decisions_by_rule_ = state.decisions_by_rule;
   decisions_by_node_ = state.decisions_by_node;
   flips_by_node_.assign(state.flips_by_node.begin(), state.flips_by_node.end());
 
   flap_log_ = state.flap_log;
   fault_log_ = state.fault_log;
+  counters_.faults_applied = fault_log_.size();  // ibgp-ckpt-v1 never stored it
   fib_log_ = state.fib_log;
 
   resume_deliveries_ = state.deliveries;

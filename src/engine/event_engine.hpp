@@ -125,6 +125,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <array>
@@ -179,6 +180,67 @@ struct EngineState;
 /// rather than caused by another delivery.  Trace records omit "pid" for
 /// roots, which is how ibgp-trace-v2 consumers recognize injection points.
 inline constexpr std::uint64_t kNoCause = ~std::uint64_t{0};
+
+/// The engine's cumulative scalar counters: totals since construction,
+/// carried across run() calls and through checkpoint/restore.  Result
+/// inherits them and EngineState stores them.
+struct EngineCounters {
+  std::uint64_t updates_sent = 0;         ///< announce+withdraw messages enqueued
+  std::uint64_t deliveries_voided = 0;    ///< in-flight messages killed by session resets
+  std::uint64_t messages_dropped = 0;     ///< voided by the FaultInjector
+  std::uint64_t messages_duplicated = 0;  ///< extra copies enqueued
+  std::uint64_t best_flips = 0;           ///< total best-route changes
+  std::uint64_t mrai_deferrals = 0;       ///< peer syncs batched by the MRAI hold-down
+  std::uint64_t faults_applied = 0;       ///< fault_log() entries
+  std::uint64_t eor_markers_sent = 0;     ///< End-of-RIB markers enqueued
+  std::uint64_t stale_retained = 0;       ///< Adj-RIB-In entries marked stale
+  std::uint64_t stale_swept_eor = 0;      ///< stale entries swept by an EoR
+  std::uint64_t stale_swept_expired = 0;  ///< stale entries cold-flushed by the timer
+  std::uint64_t igp_epoch_swaps = 0;      ///< link faults that installed a new IGP epoch
+  /// reconsider() selections that produced a best route.  Equals the sum of
+  /// Result::decisions_by_rule (tested in test_obs).
+  std::uint64_t decisions_total = 0;
+  std::uint64_t decisions_empty = 0;  ///< selections with no usable route
+
+  bool operator==(const EngineCounters&) const = default;
+};
+
+/// How one EngineCounters member is named outside the engine.
+struct EngineCounterField {
+  std::uint64_t EngineCounters::*member;
+  std::string_view key;     ///< Result member name and sweep-journal "run" key
+  std::string_view metric;  ///< obs::MetricsRegistry counter name
+  /// ibgp-ckpt-v1 "counters" key, `key` unless given; empty = not
+  /// checkpointed (restore derives faults_applied from the fault log).
+  std::string_view ckpt = key;
+};
+
+/// One row per EngineCounters member, in metrics-registration order (the
+/// registry's insertion order is part of its pinned fingerprint).  Metrics,
+/// checkpoints and sweep journals name counters only through this table, so
+/// a new counter needs just its member and its row; trace hashes and the
+/// committed sweep rows list their fields by hand and gain it only on purpose.
+inline constexpr auto kEngineCounterFields = [] {
+  using C = EngineCounters;
+  return std::to_array<EngineCounterField>({
+      {&C::updates_sent, "updates_sent", "engine.updates_sent"},
+      {&C::deliveries_voided, "deliveries_voided", "engine.deliveries_voided"},
+      {&C::messages_dropped, "messages_dropped", "engine.messages_dropped"},
+      {&C::messages_duplicated, "messages_duplicated", "engine.messages_duplicated"},
+      {&C::best_flips, "best_flips", "engine.best_flips"},
+      {&C::mrai_deferrals, "mrai_deferrals", "engine.mrai_deferrals"},
+      {&C::faults_applied, "faults_applied", "engine.faults_applied", ""},
+      {&C::eor_markers_sent, "eor_markers_sent", "engine.eor_markers_sent", "eor_sent"},
+      {&C::stale_retained, "stale_retained", "engine.stale_retained"},
+      {&C::stale_swept_eor, "stale_swept_eor", "engine.stale_swept_eor"},
+      {&C::stale_swept_expired, "stale_swept_expired", "engine.stale_swept_expired"},
+      {&C::igp_epoch_swaps, "igp_epoch_swaps", "engine.igp_epoch_swaps", "igp_swaps"},
+      {&C::decisions_total, "decisions_total", "engine.decisions"},
+      {&C::decisions_empty, "decisions_empty", "engine.decisions_empty"},
+  });
+}();
+static_assert(sizeof(EngineCounters) == kEngineCounterFields.size() * sizeof(std::uint64_t),
+              "every EngineCounters member needs a row in kEngineCounterFields");
 
 /// Per-message fault policy: classify() is keyed on the same (from, to, seq)
 /// triple as DelayFn so implementations can be pure functions of a seed —
@@ -345,7 +407,9 @@ class EventEngine {
 
   // --- execution --------------------------------------------------------------
 
-  struct Result {
+  /// One run's outcome.  The inherited EngineCounters are cumulative since
+  /// construction (or since the captured run, after restore).
+  struct Result : EngineCounters {
     /// The event queue drained: nothing was left to do.  Independent of
     /// budget_exhausted — a run that spends its delivery budget on the very
     /// last event reports BOTH converged (drained) and budget_exhausted
@@ -360,32 +424,17 @@ class EventEngine {
     bool budget_exhausted = false;
     std::size_t events_pending = 0;  ///< events left unprocessed (0 iff converged)
     /// Unapplied fault events (session down/up, crash, restart, graceful
-    /// down, stale-timer expiry) among events_pending, with the earliest
-    /// one's time; next_fault_time is meaningful only when faults_pending
-    /// is nonzero.  These are the script actions at or after end_time that
-    /// a truncated run never got to.
+    /// down, stale-timer expiry, link cost change, link down/up) among
+    /// events_pending, with the earliest one's time; next_fault_time is
+    /// meaningful only when faults_pending is nonzero.  These are the
+    /// script actions at or after end_time that a truncated run never got
+    /// to.
     std::size_t faults_pending = 0;
     SimTime next_fault_time = 0;
     std::size_t deliveries = 0;  ///< events processed
-    std::size_t updates_sent = 0;  ///< announce+withdraw messages enqueued
     SimTime end_time = 0;        ///< virtual time of the last processed event
-    std::size_t best_flips = 0;  ///< total best-route changes
     std::vector<PathId> final_best;  ///< per node; kNoPath = no route
-    std::size_t messages_dropped = 0;     ///< voided by the FaultInjector
-    std::size_t messages_duplicated = 0;  ///< extra copies enqueued
-    std::size_t deliveries_voided = 0;  ///< in-flight messages killed by session resets
-    std::size_t faults_applied = 0;     ///< fault_log() entries
-    std::size_t eor_markers_sent = 0;   ///< End-of-RIB markers enqueued
-    std::size_t stale_retained = 0;     ///< Adj-RIB-In entries marked stale
-    std::size_t stale_swept_eor = 0;    ///< stale entries swept by an EoR
-    std::size_t stale_swept_expired = 0;  ///< stale entries cold-flushed by the timer
-    std::size_t igp_epoch_swaps = 0;  ///< link faults that installed a new IGP epoch
     // --- decision provenance (bgp::SelectionProvenance, aggregated) ---------
-    /// Total reconsider() selections that produced a best route.  Equals the
-    /// sum of decisions_by_rule (tested in test_obs).
-    std::uint64_t decisions_total = 0;
-    std::uint64_t decisions_empty = 0;  ///< selections with no usable route
-    std::uint64_t mrai_deferrals = 0;   ///< peer syncs batched by the MRAI hold-down
     /// decisions_by_rule[rule_index(r)] = selections where r was decisive.
     std::array<std::uint64_t, bgp::kSelectionRuleCount> decisions_by_rule{};
     /// Per-node decisive-rule histogram, indexed by NodeId.
@@ -453,7 +502,8 @@ class EventEngine {
   [[nodiscard]] const std::optional<bgp::RouteView>& best(NodeId v) const {
     return nodes_.at(v).best;
   }
-  [[nodiscard]] std::size_t updates_sent() const { return updates_sent_; }
+  /// Cumulative counters so far (what the next Result will inherit).
+  [[nodiscard]] const EngineCounters& counters() const { return counters_; }
   [[nodiscard]] std::span<const std::size_t> flips_by_node() const { return flips_by_node_; }
 
   /// Whether router v's control plane is currently up (not crashed and not
@@ -507,14 +557,6 @@ class EventEngine {
 
   /// The path set `from` believes it has advertised to `to` (ascending).
   [[nodiscard]] std::span<const PathId> advertised_to(NodeId from, NodeId to) const;
-
-  [[nodiscard]] std::size_t messages_dropped() const { return messages_dropped_; }
-  [[nodiscard]] std::size_t messages_duplicated() const { return messages_duplicated_; }
-  [[nodiscard]] std::size_t deliveries_voided() const { return deliveries_voided_; }
-  [[nodiscard]] std::size_t eor_markers_sent() const { return eor_sent_; }
-  [[nodiscard]] std::size_t stale_retained() const { return stale_retained_; }
-  [[nodiscard]] std::size_t stale_swept_eor() const { return stale_swept_eor_; }
-  [[nodiscard]] std::size_t stale_swept_expired() const { return stale_swept_expired_; }
 
   /// One best-route change at a node, for flap traces (Table 1 reports).
   struct FlapRecord {
@@ -713,19 +755,7 @@ class EventEngine {
   SimTime last_run_end_time_ = 0;
   // Cooperative wall-clock guard (see set_deadline); never part of a hash.
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  std::size_t updates_sent_ = 0;
-  std::size_t best_flips_ = 0;
-  std::size_t messages_dropped_ = 0;
-  std::size_t messages_duplicated_ = 0;
-  std::size_t deliveries_voided_ = 0;
-  std::size_t eor_sent_ = 0;
-  std::size_t stale_retained_ = 0;
-  std::size_t stale_swept_eor_ = 0;
-  std::size_t stale_swept_expired_ = 0;
-  std::size_t igp_swaps_ = 0;
-  std::uint64_t decisions_total_ = 0;
-  std::uint64_t decisions_empty_ = 0;
-  std::uint64_t mrai_deferrals_ = 0;
+  EngineCounters counters_;
   std::array<std::uint64_t, bgp::kSelectionRuleCount> decisions_by_rule_{};
   std::vector<std::array<std::uint64_t, bgp::kSelectionRuleCount>> decisions_by_node_;
   std::size_t max_queue_depth_ = 0;  // volatile-metric input, not in any hash
@@ -734,20 +764,7 @@ class EventEngine {
   obs::TraceSink* trace_ = nullptr;
   struct MetricHandles {
     obs::Counter* deliveries = nullptr;
-    obs::Counter* updates_sent = nullptr;
-    obs::Counter* deliveries_voided = nullptr;
-    obs::Counter* messages_dropped = nullptr;
-    obs::Counter* messages_duplicated = nullptr;
-    obs::Counter* best_flips = nullptr;
-    obs::Counter* mrai_deferrals = nullptr;
-    obs::Counter* faults_applied = nullptr;
-    obs::Counter* eor_markers_sent = nullptr;
-    obs::Counter* stale_retained = nullptr;
-    obs::Counter* stale_swept_eor = nullptr;
-    obs::Counter* stale_swept_expired = nullptr;
-    obs::Counter* igp_epoch_swaps = nullptr;
-    obs::Counter* decisions = nullptr;
-    obs::Counter* decisions_empty = nullptr;
+    std::array<obs::Counter*, kEngineCounterFields.size()> counters{};  // by row
     std::array<obs::Counter*, bgp::kSelectionRuleCount> decided{};
     obs::Gauge* queue_depth_max = nullptr;
   } handles_;
@@ -780,24 +797,9 @@ class EventEngine {
   // runs so out-of-band injections (daemon ingest) become lineage roots.
   std::uint64_t cause_ = kNoCause;
   std::uint64_t cause_parent_ = kNoCause;
-  /// Counter values already pushed into metrics_ (flush-delta state).
-  struct Flushed {
-    std::uint64_t updates_sent = 0;
-    std::uint64_t deliveries_voided = 0;
-    std::uint64_t messages_dropped = 0;
-    std::uint64_t messages_duplicated = 0;
-    std::uint64_t best_flips = 0;
-    std::uint64_t mrai_deferrals = 0;
-    std::uint64_t faults_applied = 0;
-    std::uint64_t eor_markers_sent = 0;
-    std::uint64_t stale_retained = 0;
-    std::uint64_t stale_swept_eor = 0;
-    std::uint64_t stale_swept_expired = 0;
-    std::uint64_t igp_epoch_swaps = 0;
-    std::uint64_t decisions = 0;
-    std::uint64_t decisions_empty = 0;
-    std::array<std::uint64_t, bgp::kSelectionRuleCount> decided{};
-  } flushed_;
+  // Counter values already pushed into metrics_ (flush-delta state).
+  EngineCounters flushed_;
+  std::array<std::uint64_t, bgp::kSelectionRuleCount> flushed_decided_{};
   std::vector<std::size_t> flips_by_node_;
   std::vector<FlapRecord> flap_log_;
   std::vector<FaultRecord> fault_log_;
@@ -892,19 +894,7 @@ struct EngineState {
   std::uint64_t session_msg_seq = 0;
 
   // --- cumulative counters ---
-  std::uint64_t updates_sent = 0;
-  std::uint64_t best_flips = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t messages_duplicated = 0;
-  std::uint64_t deliveries_voided = 0;
-  std::uint64_t eor_sent = 0;
-  std::uint64_t stale_retained = 0;
-  std::uint64_t stale_swept_eor = 0;
-  std::uint64_t stale_swept_expired = 0;
-  std::uint64_t igp_swaps = 0;
-  std::uint64_t decisions_total = 0;
-  std::uint64_t decisions_empty = 0;
-  std::uint64_t mrai_deferrals = 0;
+  EngineCounters counters;
   std::array<std::uint64_t, bgp::kSelectionRuleCount> decisions_by_rule{};
   std::vector<std::array<std::uint64_t, bgp::kSelectionRuleCount>> decisions_by_node;
   std::vector<std::uint64_t> flips_by_node;

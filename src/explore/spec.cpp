@@ -12,7 +12,7 @@ core::Instance build(const InstanceSpec& spec) {
   topo::InstanceBuilder builder;
   for (std::size_t v = 0; v < spec.nodes.size(); ++v) {
     const NodeSpec& node = spec.nodes[v];
-    std::string label = node.label.empty() ? "n" + std::to_string(v) : node.label;
+    std::string label = node.label.empty() ? 'n' + std::to_string(v) : node.label;
     if (node.reflector) {
       builder.reflector(std::move(label), node.cluster);
     } else {
@@ -23,7 +23,7 @@ core::Instance build(const InstanceSpec& spec) {
     if (v >= spec.nodes.size()) {
       throw std::invalid_argument("InstanceSpec: dangling node id " + std::to_string(v));
     }
-    return spec.nodes[v].label.empty() ? "n" + std::to_string(v) : spec.nodes[v].label;
+    return spec.nodes[v].label.empty() ? 'n' + std::to_string(v) : spec.nodes[v].label;
   };
   for (std::size_t v = 0; v < spec.nodes.size(); ++v) {
     builder.bgp_id(label_of(static_cast<NodeId>(v)), spec.nodes[v].bgp_id);
@@ -37,7 +37,7 @@ core::Instance build(const InstanceSpec& spec) {
   for (std::size_t i = 0; i < spec.exits.size(); ++i) {
     const ExitSpec& exit = spec.exits[i];
     topo::ExitSpec out;
-    out.name = exit.name.empty() ? "r" + std::to_string(i) : exit.name;
+    out.name = exit.name.empty() ? 'r' + std::to_string(i) : exit.name;
     out.at = label_of(exit.at);
     out.next_as = exit.next_as;
     out.med = exit.med;

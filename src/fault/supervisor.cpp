@@ -46,22 +46,11 @@ Object run_json(const engine::EventEngine::Result& run) {
   out.emplace_back("faults_pending", run.faults_pending);
   out.emplace_back("next_fault_time", run.next_fault_time);
   out.emplace_back("deliveries", run.deliveries);
-  out.emplace_back("updates_sent", run.updates_sent);
   out.emplace_back("end_time", run.end_time);
-  out.emplace_back("best_flips", run.best_flips);
   out.emplace_back("final_best", num_array(run.final_best));
-  out.emplace_back("messages_dropped", run.messages_dropped);
-  out.emplace_back("messages_duplicated", run.messages_duplicated);
-  out.emplace_back("deliveries_voided", run.deliveries_voided);
-  out.emplace_back("faults_applied", run.faults_applied);
-  out.emplace_back("eor_markers_sent", run.eor_markers_sent);
-  out.emplace_back("stale_retained", run.stale_retained);
-  out.emplace_back("stale_swept_eor", run.stale_swept_eor);
-  out.emplace_back("stale_swept_expired", run.stale_swept_expired);
-  out.emplace_back("igp_epoch_swaps", run.igp_epoch_swaps);
-  out.emplace_back("decisions_total", run.decisions_total);
-  out.emplace_back("decisions_empty", run.decisions_empty);
-  out.emplace_back("mrai_deferrals", run.mrai_deferrals);
+  for (const engine::EngineCounterField& field : engine::kEngineCounterFields) {
+    out.emplace_back(field.key, run.*field.member);
+  }
   out.emplace_back("decisions_by_rule", rule_array(run.decisions_by_rule));
   {
     Array by_node;
@@ -162,22 +151,11 @@ engine::EventEngine::Result parse_run(const Value& doc) {
   run.faults_pending = get_uint(doc, "faults_pending");
   run.next_fault_time = get_uint(doc, "next_fault_time");
   run.deliveries = get_uint(doc, "deliveries");
-  run.updates_sent = get_uint(doc, "updates_sent");
   run.end_time = get_uint(doc, "end_time");
-  run.best_flips = get_uint(doc, "best_flips");
   run.final_best = get_nums<PathId>(doc, "final_best");
-  run.messages_dropped = get_uint(doc, "messages_dropped");
-  run.messages_duplicated = get_uint(doc, "messages_duplicated");
-  run.deliveries_voided = get_uint(doc, "deliveries_voided");
-  run.faults_applied = get_uint(doc, "faults_applied");
-  run.eor_markers_sent = get_uint(doc, "eor_markers_sent");
-  run.stale_retained = get_uint(doc, "stale_retained");
-  run.stale_swept_eor = get_uint(doc, "stale_swept_eor");
-  run.stale_swept_expired = get_uint(doc, "stale_swept_expired");
-  run.igp_epoch_swaps = get_uint(doc, "igp_epoch_swaps");
-  run.decisions_total = get_uint(doc, "decisions_total");
-  run.decisions_empty = get_uint(doc, "decisions_empty");
-  run.mrai_deferrals = get_uint(doc, "mrai_deferrals");
+  for (const engine::EngineCounterField& field : engine::kEngineCounterFields) {
+    run.*field.member = get_uint(doc, field.key);
+  }
   run.decisions_by_rule = get_rules(field(doc, "decisions_by_rule"));
   for (const auto& rules : field(doc, "decisions_by_node").as_array()) {
     run.decisions_by_node.push_back(get_rules(rules));
@@ -240,9 +218,7 @@ std::string journal_cell_path(const std::string& journal_dir, std::size_t index)
 
 util::json::Value journal_cell_json(std::size_t index, const SweepCell& cell,
                                     const CampaignResult& result) {
-  Object doc;
-  doc.emplace_back("schema", kJournalSchema);
-  doc.emplace_back("index", index);
+  Object doc{{"schema", kJournalSchema}, {"index", index}};
   doc.emplace_back("group", cell.group);
   doc.emplace_back("seed", cell.seed);
   doc.emplace_back("protocol", core::protocol_name(cell.protocol));

@@ -113,12 +113,12 @@ std::optional<BlameChain> CausalGraph::blame(std::int64_t node,
 
 std::string CausalGraph::node_name(std::int64_t id) const {
   const auto it = node_names_.find(id);
-  return it != node_names_.end() ? it->second : "#" + std::to_string(id);
+  return it != node_names_.end() ? it->second : '#' + std::to_string(id);
 }
 
 std::string CausalGraph::path_name(std::int64_t id) const {
   const auto it = path_names_.find(id);
-  return it != path_names_.end() ? it->second : "#" + std::to_string(id);
+  return it != path_names_.end() ? it->second : '#' + std::to_string(id);
 }
 
 std::string CausalGraph::format_hop(const CausalHop& hop) const {

@@ -119,7 +119,7 @@ Reduction reduce_to_ibgp(const Formula& formula) {
   }
   b.link("xT" + std::to_string(formula.num_vars()), "K0_0", kFar);
   for (std::size_t j = 1; j < formula.num_clauses(); ++j) {
-    b.link("K" + std::to_string(j - 1) + "_0", "K" + std::to_string(j) + "_0", kFar);
+    b.link('K' + std::to_string(j - 1) + "_0", 'K' + std::to_string(j) + "_0", kFar);
   }
 
   core::Instance instance = b.build("sat-reduction");

@@ -49,10 +49,10 @@ core::Instance random_instance(const RandomConfig& config, std::uint64_t seed) {
     if (member.role == netsim::Role::kReflector) {
       label = "RR" + std::to_string(member.cluster);
       if (rr_per_cluster[member.cluster]++ > 0) {
-        label += "_" + std::to_string(rr_per_cluster[member.cluster] - 1);
+        label += '_' + std::to_string(rr_per_cluster[member.cluster] - 1);
       }
     } else {
-      label = "c" + std::to_string(member.cluster) + "_" +
+      label = 'c' + std::to_string(member.cluster) + "_" +
               std::to_string(cl_per_cluster[member.cluster]++);
     }
     const NodeId v = new_node(member.cluster, member.role, label);
@@ -93,7 +93,7 @@ core::Instance random_instance(const RandomConfig& config, std::uint64_t seed) {
   const std::size_t ases = std::max<std::size_t>(1, config.neighbor_ases);
   for (std::size_t i = 0; i < config.exits; ++i) {
     bgp::ExitPath path;
-    path.name = "r" + std::to_string(i + 1);
+    path.name = 'r' + std::to_string(i + 1);
     if (config.exits_at_clients_only && !clients.empty()) {
       path.exit_point = clients[rng.pick_index(clients)];
     } else {

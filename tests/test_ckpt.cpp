@@ -16,6 +16,10 @@
 // deadlines with retry, and the cell-completion journal: a sweep killed
 // after journaling only some cells resumes to a byte-identical final JSON
 // document, for --jobs 1 and --jobs N alike.
+//
+// The counter-table tests pin engine::kEngineCounterFields: every counter
+// reaches its own checkpoint key, journal key and metric, and checkpoints
+// written before the table existed still load.
 
 #include <gtest/gtest.h>
 
@@ -23,10 +27,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "engine/event_engine.hpp"
 #include "fault/campaign.hpp"
 #include "fault/script.hpp"
 #include "fault/supervisor.hpp"
@@ -105,23 +114,13 @@ void expect_same_outcome(const CampaignResult& resumed, const CampaignResult& fu
   ASSERT_EQ(resumed.run.budget_exhausted, full.run.budget_exhausted);
   ASSERT_EQ(resumed.run.deliveries, full.run.deliveries);
   ASSERT_EQ(resumed.run.end_time, full.run.end_time);
-  ASSERT_EQ(resumed.run.updates_sent, full.run.updates_sent);
-  ASSERT_EQ(resumed.run.best_flips, full.run.best_flips);
   ASSERT_EQ(resumed.run.final_best, full.run.final_best);
-  ASSERT_EQ(resumed.run.faults_applied, full.run.faults_applied);
   ASSERT_EQ(resumed.run.faults_pending, full.run.faults_pending);
-  ASSERT_EQ(resumed.run.messages_dropped, full.run.messages_dropped);
-  ASSERT_EQ(resumed.run.messages_duplicated, full.run.messages_duplicated);
-  ASSERT_EQ(resumed.run.deliveries_voided, full.run.deliveries_voided);
-  ASSERT_EQ(resumed.run.eor_markers_sent, full.run.eor_markers_sent);
-  ASSERT_EQ(resumed.run.stale_retained, full.run.stale_retained);
-  ASSERT_EQ(resumed.run.stale_swept_eor, full.run.stale_swept_eor);
-  ASSERT_EQ(resumed.run.stale_swept_expired, full.run.stale_swept_expired);
-  ASSERT_EQ(resumed.run.igp_epoch_swaps, full.run.igp_epoch_swaps);
+  // Every cumulative counter, present and future, compared whole.
+  const engine::EngineCounters& resumed_counters = resumed.run;
+  const engine::EngineCounters& full_counters = full.run;
+  ASSERT_TRUE(resumed_counters == full_counters);
   // Decision provenance, in full.
-  ASSERT_EQ(resumed.run.decisions_total, full.run.decisions_total);
-  ASSERT_EQ(resumed.run.decisions_empty, full.run.decisions_empty);
-  ASSERT_EQ(resumed.run.mrai_deferrals, full.run.mrai_deferrals);
   ASSERT_EQ(resumed.run.decisions_by_rule, full.run.decisions_by_rule);
   ASSERT_EQ(resumed.run.decisions_by_node, full.run.decisions_by_node);
   // Campaign-level verdicts.
@@ -487,6 +486,162 @@ TEST(Supervisor, JournalCellJsonRoundTrips) {
   EXPECT_EQ(back.invariants.violations, result.invariants.violations);
   EXPECT_EQ(back.continuity.blackhole_ticks, result.continuity.blackhole_ticks);
   EXPECT_EQ(back.continuity.churn_events.size(), result.continuity.churn_events.size());
+}
+
+// --- engine counter table ------------------------------------------------------
+
+// A distinct non-zero value per row, so a swapped key, metric or member shows
+// up as a wrong value in the field it lands in.
+engine::EngineCounters distinct_counters() {
+  engine::EngineCounters counters;
+  std::uint64_t value = 1000;
+  for (const auto& field : engine::kEngineCounterFields) counters.*field.member = value += 11;
+  return counters;
+}
+
+TEST(CounterTable, MembersKeysAndMetricNamesAreUnique) {
+  std::set<std::string_view> keys;
+  std::set<std::string_view> metrics;
+  std::set<std::string_view> ckpt_keys;
+  for (std::size_t row = 0; row < engine::kEngineCounterFields.size(); ++row) {
+    const auto& field = engine::kEngineCounterFields[row];
+    EXPECT_TRUE(keys.insert(field.key).second) << field.key;
+    EXPECT_TRUE(metrics.insert(field.metric).second) << field.metric;
+    // Metric names follow the key (pinned by the journal test below), with
+    // the one historical exception.
+    std::string want_metric = "engine.";
+    want_metric += field.key == "decisions_total" ? "decisions" : field.key;
+    EXPECT_EQ(field.metric, want_metric);
+    if (!field.ckpt.empty()) {
+      EXPECT_TRUE(ckpt_keys.insert(field.ckpt).second) << field.ckpt;
+    }
+    for (std::size_t other = 0; other < row; ++other) {
+      EXPECT_NE(field.member, engine::kEngineCounterFields[other].member) << field.key;
+    }
+  }
+}
+
+TEST(CounterTable, CheckpointRoundTripKeepsEveryCounterInItsField) {
+  auto state = sample_state();
+  state.counters = distinct_counters();
+  const auto back =
+      ckpt::parse_engine_state(parse_json(ckpt::engine_state_json(state).dump()));
+  for (const auto& field : engine::kEngineCounterFields) {
+    // An empty ckpt key is not stored; restore derives that counter.
+    const std::uint64_t expected = field.ckpt.empty() ? 0 : state.counters.*field.member;
+    EXPECT_EQ(back.counters.*field.member, expected) << field.key;
+  }
+}
+
+// Counter values by every name a document written before the table existed
+// used for them, checkpoint names (eor_sent, igp_swaps) included.
+const std::map<std::string_view, std::uint64_t> kNumberedByKey = {
+    {"updates_sent", 1},         {"best_flips", 2},        {"messages_dropped", 3},
+    {"messages_duplicated", 4},  {"deliveries_voided", 5}, {"eor_sent", 6},
+    {"eor_markers_sent", 6},     {"stale_retained", 7},    {"stale_swept_eor", 8},
+    {"stale_swept_expired", 9},  {"igp_swaps", 10},        {"igp_epoch_swaps", 10},
+    {"decisions_total", 11},     {"decisions_empty", 12},  {"mrai_deferrals", 13},
+    {"faults_applied", 14}};
+
+// The same values by member, written independently of the table.
+constexpr engine::EngineCounters kNumbered{.updates_sent = 1,
+                                           .deliveries_voided = 5,
+                                           .messages_dropped = 3,
+                                           .messages_duplicated = 4,
+                                           .best_flips = 2,
+                                           .mrai_deferrals = 13,
+                                           .faults_applied = 14,
+                                           .eor_markers_sent = 6,
+                                           .stale_retained = 7,
+                                           .stale_swept_eor = 8,
+                                           .stale_swept_expired = 9,
+                                           .igp_epoch_swaps = 10,
+                                           .decisions_total = 11,
+                                           .decisions_empty = 12};
+
+// `doc` reparsed with its object member `name` rebuilt from `keys`, in that
+// order: a counter key takes its kNumberedByKey value, any other key keeps
+// its written value.
+util::json::Value with_numbered_counters(const util::json::Value& doc, std::string_view name,
+                                         std::initializer_list<std::string_view> keys) {
+  const util::json::Value& written = *doc.find(name);
+  util::json::Object member;
+  for (const std::string_view key : keys) {
+    const auto it = kNumberedByKey.find(key);
+    member.emplace_back(key, it != kNumberedByKey.end() ? util::json::Value(it->second)
+                                                        : *written.find(key));
+  }
+  util::json::Object out;
+  for (const auto& [key, value] : doc.as_object()) {
+    out.emplace_back(key, key == name ? util::json::Value(member) : value);
+  }
+  return parse_json(util::json::Value(std::move(out)).dump());
+}
+
+TEST(CounterTable, ReadsCheckpointCountersInTheirOriginalKeyOrder) {
+  // "counters" exactly as ibgp-ckpt-v1 writers emitted it before the table.
+  const auto doc = with_numbered_counters(
+      ckpt::engine_state_json(sample_state()), "counters",
+      {"updates_sent", "best_flips", "messages_dropped", "messages_duplicated",
+       "deliveries_voided", "eor_sent", "stale_retained", "stale_swept_eor",
+       "stale_swept_expired", "igp_swaps", "decisions_total", "decisions_empty",
+       "mrai_deferrals"});
+  engine::EngineCounters expected = kNumbered;
+  expected.faults_applied = 0;  // never checkpointed: restore derives it
+  EXPECT_TRUE(ckpt::parse_engine_state(doc).counters == expected);
+}
+
+TEST(CounterTable, ReadsJournalRunInItsOriginalKeyOrder) {
+  // The journal cell's "run" exactly as writers emitted it before the table.
+  const auto inst = topo::fig1a();
+  const auto cells = make_cells(inst, 1);
+  const auto result = run_campaign(*cells[0].instance, cells[0].protocol, cells[0].script,
+                                   cells[0].options);
+  const auto doc = with_numbered_counters(
+      journal_cell_json(0, cells[0], result), "run",
+      {"converged", "budget_exhausted", "events_pending", "faults_pending",
+       "next_fault_time", "deliveries", "updates_sent", "end_time", "best_flips",
+       "final_best", "messages_dropped", "messages_duplicated", "deliveries_voided",
+       "faults_applied", "eor_markers_sent", "stale_retained", "stale_swept_eor",
+       "stale_swept_expired", "igp_epoch_swaps", "decisions_total", "decisions_empty",
+       "mrai_deferrals", "decisions_by_rule", "decisions_by_node"});
+  const auto back = parse_journal_cell(doc);
+  const engine::EngineCounters& counters = back.run;
+  EXPECT_TRUE(counters == kNumbered);
+  EXPECT_EQ(back.run.final_best, result.run.final_best);
+}
+
+TEST(CounterTable, JournalRoundTripKeepsEveryCounterInItsField) {
+  const auto inst = topo::fig1a();
+  const auto cells = make_cells(inst, 1);
+  auto result = run_campaign(*cells[0].instance, cells[0].protocol, cells[0].script,
+                             cells[0].options);
+  static_cast<engine::EngineCounters&>(result.run) = distinct_counters();
+  const auto back =
+      parse_journal_cell(parse_json(journal_cell_json(0, cells[0], result).dump()));
+  for (const auto& field : engine::kEngineCounterFields) {
+    EXPECT_EQ(back.run.*field.member, result.run.*field.member) << field.key;
+  }
+}
+
+TEST(CounterTable, MetricsFlushPushesEveryCounterToItsMetric) {
+  const auto inst = topo::fig1a();
+  engine::EventEngine source(inst, ProtocolKind::kModified);
+  source.inject_all_exits();
+  ASSERT_TRUE(source.run().converged);
+  auto state = source.capture();
+  state.counters = distinct_counters();
+  state.counters.faults_applied = state.fault_log.size();  // what restore derives
+
+  obs::MetricsRegistry registry;
+  engine::EventEngine resumed(inst, ProtocolKind::kModified);
+  resumed.set_metrics(&registry);
+  resumed.restore(state);
+  ASSERT_TRUE(resumed.run().converged);  // nothing pending: the flush is all it does
+  for (const auto& field : engine::kEngineCounterFields) {
+    EXPECT_EQ(registry.counter_value(field.metric), state.counters.*field.member)
+        << field.metric;
+  }
 }
 
 TEST(Supervisor, DeadlineTimeoutBecomesStructuredErrorAfterRetries) {

@@ -100,7 +100,9 @@ TEST(Mutate, DeterministicPerSeed) {
   const auto ia = try_build(a);
   const auto ib = try_build(b);
   ASSERT_EQ(ia.has_value(), ib.has_value());
-  if (ia) EXPECT_EQ(topo::write_topo(*ia), topo::write_topo(*ib));
+  if (ia) {
+    EXPECT_EQ(topo::write_topo(*ia), topo::write_topo(*ib));
+  }
 }
 
 TEST(Mutate, ProducesMostlyValidVariedOffspring) {

@@ -292,7 +292,7 @@ TEST(Json, ParsesEverythingTheBuilderEmits) {
   top.emplace_back("arr", std::move(arr));
   const json::Value doc{std::move(top)};
 
-  for (const std::string text : {doc.dump(), doc.dump_compact()}) {
+  for (const std::string& text : {doc.dump(), doc.dump_compact()}) {
     const auto parsed = json::parse(text);
     ASSERT_TRUE(parsed.has_value()) << text;
     EXPECT_EQ(parsed->dump(), doc.dump());
