@@ -52,7 +52,7 @@ namespace ibgp::bench {
 ///   --strict       abort the whole sweep on the first failing cell
 ///                  (restores the historical lowest-index-wins policy)
 ///   --profile      enable engine.span.* hot-path profiler spans (delivery,
-///                  choose_best, transfer); p50/p95/p99 summaries go to
+///                  choose_best, export filter, transfer); p50/p95/p99 go to
 ///                  stderr + the volatile JSON section — never to stdout,
 ///                  which stays byte-identical to a run without the flag
 struct BenchConfig {
@@ -257,7 +257,7 @@ struct ObsSession {
 
   /// The span histograms a --profile run populates, in summary order.
   static constexpr const char* kSpanNames[] = {
-      "engine.span.delivery_ns", "engine.span.decision_ns",
+      "engine.span.delivery_ns", "engine.span.decision_ns", "engine.span.export_ns",
       "engine.span.transfer_ns", "spf.recompute_ns"};
 
   /// Volatile JSON object of per-span {count, sum_ns, p50/p95/p99_ns}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 
 namespace ibgp::bgp {
@@ -49,17 +48,26 @@ template <typename Seq, typename AsOf, typename MedOf>
 void med_eliminate_range(Seq& items, const SelectionPolicy& policy, AsOf as_of,
                          MedOf med_of) {
   if (items.empty()) return;
-  std::map<std::uint64_t, Med> group_min;
+  // Per-group minimum MEDs in a flat table: a selection sees a handful of
+  // groups (at most one per neighbour AS), for which a scan beats a tree.
+  std::vector<std::pair<std::uint64_t, Med>> group_min;
+  group_min.reserve(items.size());
+  const auto find_group = [&](std::uint64_t group) {
+    return std::find_if(group_min.begin(), group_min.end(),
+                        [&](const auto& entry) { return entry.first == group; });
+  };
   for (const auto& item : items) {
     const auto group = med_group(policy, as_of(item));
     if (!group) continue;
-    const auto it = group_min.find(*group);
-    if (it == group_min.end() || med_of(item) < it->second) group_min[*group] = med_of(item);
+    if (const auto it = find_group(*group); it != group_min.end()) {
+      it->second = std::min(it->second, med_of(item));
+    } else {
+      group_min.emplace_back(*group, med_of(item));
+    }
   }
   std::erase_if(items, [&](const auto& item) {
     const auto group = med_group(policy, as_of(item));
-    if (!group) return false;
-    return med_of(item) != group_min.at(*group);
+    return group && med_of(item) != find_group(*group)->second;
   });
 }
 

@@ -1,7 +1,6 @@
 #include "core/policy.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace ibgp::core {
 
@@ -28,15 +27,23 @@ std::vector<PathId> walton_advertised(const Instance& inst,
   const LocalPref best_lp = table[overall->path].local_pref;
   const std::uint32_t best_len = table[overall->path].as_path_length;
 
-  // Partition candidates by neighboring AS; the vector preserves the
-  // learnedFrom attribution needed by the per-AS selection.
-  std::map<AsId, std::vector<bgp::Candidate>> by_as;
-  for (const auto& candidate : possible) {
-    by_as[table[candidate.path].next_as].push_back(candidate);
-  }
+  // Partition candidates by neighboring AS: one stably sorted copy whose
+  // runs are the groups, each in input order with its learnedFrom
+  // attribution intact for the per-AS selection.
+  const auto next_as = [&](const bgp::Candidate& c) { return table[c.path].next_as; };
+  std::vector<bgp::Candidate> by_as(possible.begin(), possible.end());
+  std::stable_sort(by_as.begin(), by_as.end(),
+                   [&](const bgp::Candidate& a, const bgp::Candidate& b) {
+                     return next_as(a) < next_as(b);
+                   });
 
   std::vector<PathId> advertised;
-  for (const auto& [as, group] : by_as) {
+  for (auto first = by_as.begin(); first != by_as.end();) {
+    const auto last = std::find_if(first, by_as.end(), [&](const bgp::Candidate& c) {
+      return next_as(c) != next_as(*first);
+    });
+    const std::span<const bgp::Candidate> group(first, last);
+    first = last;
     const auto group_best = bgp::choose_best(table, igp, node, group, inst.policy());
     if (!group_best) continue;
     // Only announced when it matches the overall best's LOCAL-PREF and

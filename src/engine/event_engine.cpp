@@ -47,9 +47,18 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
       decisions_by_node_(inst.node_count()),
       flips_by_node_(inst.node_count(), 0) {
   const std::size_t paths = inst.exits().size();
+  const auto& clusters = inst.clusters();
   for (NodeId v = 0; v < nodes_.size(); ++v) {
-    const std::size_t peer_count = inst.sessions().peers(v).size();
+    const auto peers = inst.sessions().peers(v);
+    const std::size_t peer_count = peers.size();
     nodes_[v].holders.resize(paths);
+    nodes_[v].lowest_holder.assign(paths, kNoNode);
+    for (const NodeId peer : peers) {
+      nodes_[v].peer_class.push_back(
+          !clusters.same_cluster(v, peer) ? PeerClass::kOther
+          : clusters.is_client(peer)      ? PeerClass::kOwnClient
+                                          : PeerClass::kClusterReflector);
+    }
     nodes_[v].stale.resize(paths);
     nodes_[v].own.assign(paths, false);
     nodes_[v].advertised_out.resize(peer_count);
@@ -102,7 +111,18 @@ void register_event_engine_metrics(obs::MetricsRegistry& registry) {
   // Profiler span sinks (set_profile): wall time is volatile by nature.
   obs::span_histogram(registry, "engine.span.delivery_ns");
   obs::span_histogram(registry, "engine.span.decision_ns");
+  obs::span_histogram(registry, "engine.span.export_ns");
   obs::span_histogram(registry, "engine.span.transfer_ns");
+}
+
+void add_run_metrics(obs::MetricsRegistry& registry, const EventEngine::Result& result) {
+  registry.counter("engine.deliveries").add(result.deliveries);
+  for (const EngineCounterField& field : kEngineCounterFields) {
+    registry.counter(field.metric).add(result.*field.member);
+  }
+  for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
+    registry.counter(rule_metric_name(rule)).add(result.decisions_by_rule[rule]);
+  }
 }
 
 void EventEngine::set_metrics(obs::MetricsRegistry* registry) {
@@ -134,6 +154,7 @@ void EventEngine::set_profile(bool enabled) {
   if (!enabled || metrics_ == nullptr) return;
   profile_.delivery = &obs::span_histogram(*metrics_, "engine.span.delivery_ns");
   profile_.decision = &obs::span_histogram(*metrics_, "engine.span.decision_ns");
+  profile_.export_filter = &obs::span_histogram(*metrics_, "engine.span.export_ns");
   profile_.transfer = &obs::span_histogram(*metrics_, "engine.span.transfer_ns");
 }
 
@@ -297,8 +318,7 @@ std::size_t EventEngine::peer_index(NodeId u, NodeId peer) const {
   return static_cast<std::size_t>(it - peers.begin());
 }
 
-NodeId EventEngine::attributed_source(NodeId u, PathId p) const {
-  const auto& holders = nodes_[u].holders[p];
+NodeId EventEngine::lowest_of(std::span<const NodeId> holders) const {
   NodeId best = kNoNode;
   BgpId best_id = std::numeric_limits<BgpId>::max();
   for (const NodeId v : holders) {
@@ -310,38 +330,25 @@ NodeId EventEngine::attributed_source(NodeId u, PathId p) const {
   return best;
 }
 
-bool EventEngine::may_send(NodeId u, NodeId peer, PathId p) const {
-  const auto& clusters = inst_->clusters();
-  const NodeId exit_point = inst_->exits()[p].exit_point;
-
-  if (exit_point == u) return true;  // own E-BGP route: to every peer
-
-  // A path is never announced back to its exit point (it already holds the
-  // E-BGP original; mirrors ORIGINATOR_ID suppression).
-  if (exit_point == peer) return false;
-
-  if (clusters.is_client(u)) return false;  // clients never forward I-BGP routes
-
-  // CLUSTER_LIST loop prevention (RFC 1966): a route exiting inside this
-  // cluster must not bounce between the cluster's reflectors — every one of
-  // them hears it from the exit point directly (constraint 2 of Section 4).
-  // Without this, two same-cluster reflectors endlessly re-attribute each
-  // other's reflections and the protocol livelocks.
-  if (clusters.is_reflector(peer) && clusters.same_cluster(u, peer) &&
-      clusters.same_cluster(exit_point, u)) {
-    return false;
+void EventEngine::insert_holder(NodeState& node, PathId p, NodeId v) const {
+  auto& holders = node.holders[p];
+  const auto it = std::lower_bound(holders.begin(), holders.end(), v);
+  if (it != holders.end() && *it == v) return;
+  holders.insert(it, v);
+  // Same winner as lowest_of's ascending scan: lower BGP id, then lower node.
+  NodeId& lowest = node.lowest_holder[p];
+  if (lowest == kNoNode || inst_->bgp_id(v) < inst_->bgp_id(lowest) ||
+      (inst_->bgp_id(v) == inst_->bgp_id(lowest) && v < lowest)) {
+    lowest = v;
   }
+}
 
-  const NodeId src = attributed_source(u, p);
-  if (src == kNoNode) return false;  // nothing to forward
-  if (src == peer) return false;     // never echo to the originator session
-
-  const bool src_is_my_client =
-      clusters.is_client(src) && clusters.same_cluster(src, u);
-  if (src_is_my_client) return true;  // reflect to all peers except originator
-
-  // Learned from a non-client: reflect to own clients only.
-  return clusters.is_client(peer) && clusters.same_cluster(peer, u);
+void EventEngine::erase_holder(NodeState& node, PathId p, NodeId v) const {
+  auto& holders = node.holders[p];
+  const auto it = std::lower_bound(holders.begin(), holders.end(), v);
+  if (it == holders.end() || *it != v) return;
+  holders.erase(it);
+  if (node.lowest_holder[p] == v) node.lowest_holder[p] = lowest_of(holders);
 }
 
 void EventEngine::push_update(NodeId from, NodeId to, PathId path, bool announce,
@@ -388,16 +395,16 @@ void EventEngine::enqueue_update(NodeId from, NodeId to, PathId path, bool annou
 
 void EventEngine::reconsider(NodeId u, SimTime now) {
   NodeState& node = nodes_[u];
+  const auto& exits = inst_->exits();
 
-  // Candidates: own injected exits plus everything some peer announced.
-  std::vector<bgp::Candidate> candidates;
-  for (PathId p = 0; p < inst_->exits().size(); ++p) {
+  // Candidates: own injected exits plus everything some peer announced,
+  // each attributed to its lowest-BGP-id holder.
+  candidates_.clear();
+  for (PathId p = 0; p < exits.size(); ++p) {
     if (node.own[p]) {
-      candidates.push_back({p, inst_->exits()[p].ebgp_peer});
-    } else if (!node.holders[p].empty()) {
-      BgpId lowest = std::numeric_limits<BgpId>::max();
-      for (const NodeId v : node.holders[p]) lowest = std::min(lowest, inst_->bgp_id(v));
-      candidates.push_back({p, lowest});
+      candidates_.push_back({p, exits[p].ebgp_peer});
+    } else if (const NodeId source = node.lowest_holder[p]; source != kNoNode) {
+      candidates_.push_back({p, inst_->bgp_id(source)});
     }
   }
 
@@ -407,7 +414,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   bgp::SelectionProvenance provenance;
   const auto decision = [&] {
     const obs::Span span(profile_.live_decision);
-    return core::decide(*inst_, *igp_, protocol_, u, candidates, &provenance);
+    return core::decide(*inst_, *igp_, protocol_, u, candidates_, &provenance);
   }();
   if (provenance.selected) {
     ++counters_.decisions_total;
@@ -424,21 +431,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     ++flips_by_node_[u];
     flap_log_.push_back({now, u, old_best, new_best});
   }
-  if (tracing()) {
-    util::json::Object fields;
-    fields.emplace_back("node", u);
-    fields.emplace_back("best", new_best == kNoPath ? std::int64_t{-1}
-                                                    : std::int64_t{new_best});
-    fields.emplace_back("rule", bgp::selection_rule_name(provenance.decisive));
-    fields.emplace_back("candidates",
-                        static_cast<std::uint64_t>(provenance.candidates));
-    fields.emplace_back("flip", old_best != new_best);
-    // Joins the decision into the causal DAG: lid = the delivery that
-    // triggered this reconsideration (decisions never spawn events
-    // themselves, so they carry no pid of their own).
-    if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
-    trace_->emit(now, "decision", std::move(fields));
-  }
+  if (tracing()) trace_decision(u, new_best, provenance, old_best != new_best, now);
   node.best = decision.best;
   // reconsider only runs on control-plane-up nodes, so the FIB tracks the
   // best route here.  A FIB frozen by graceful restart stays on its
@@ -453,18 +446,58 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     set_fib(u, new_best, now);
   }
 
-  // Per-peer target sets; UPDATE diffs flow immediately, or — with an MRAI
-  // configured — as batched net diffs at the next permitted send time.
+  // Export filter (the reflection rules of the header comment): one rule per
+  // advertised path, then each peer's target set from its class.  Besides
+  // the rules, a path never goes back to its exit point (ORIGINATOR_ID), and
+  // one exiting inside u's cluster never goes to the cluster's other
+  // reflectors (CLUSTER_LIST; constraint 2 of Section 4): each hears it from
+  // the exit point directly, and without the check two same-cluster
+  // reflectors endlessly re-attribute each other's reflections.
   const auto peers = inst_->sessions().peers(u);
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    const NodeId peer = peers[i];
-    std::vector<PathId> target;
+  {
+    const obs::Span span(profile_.live_export_filter);
+    const auto& clusters = inst_->clusters();
+    export_rules_.clear();
     for (const PathId p : decision.advertised) {
-      if (may_send(u, peer, p)) target.push_back(p);
+      const NodeId exit_point = exits[p].exit_point;
+      if (exit_point == u) {
+        export_rules_.push_back({p});
+        continue;
+      }
+      if (clusters.is_client(u)) continue;  // clients never forward I-BGP routes
+      const NodeId source = node.lowest_holder[p];
+      if (source == kNoNode) continue;  // nothing to forward
+      const bool from_own_client = clusters.is_client(source) && clusters.same_cluster(source, u);
+      export_rules_.push_back({p, exit_point, source, !from_own_client,
+                               clusters.same_cluster(exit_point, u)});
     }
-    node.desired_out[i] = std::move(target);
-    sync_peer(u, i, now);
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      std::vector<PathId>& target = node.desired_out[i];
+      target.clear();
+      for (const ExportRule& rule : export_rules_) {
+        if (rule.admits(peers[i], node.peer_class[i])) target.push_back(rule.path);
+      }
+    }
   }
+  // UPDATE diffs flow immediately, or — with an MRAI configured — as
+  // batched net diffs at the next permitted send time.
+  for (std::size_t i = 0; i < peers.size(); ++i) sync_peer(u, i, now);
+}
+
+void EventEngine::trace_decision(NodeId u, PathId new_best,
+                                 const bgp::SelectionProvenance& provenance, bool flip,
+                                 SimTime now) {
+  util::json::Object fields;
+  fields.emplace_back("node", u);
+  fields.emplace_back("best", new_best == kNoPath ? std::int64_t{-1} : std::int64_t{new_best});
+  fields.emplace_back("rule", bgp::selection_rule_name(provenance.decisive));
+  fields.emplace_back("candidates", static_cast<std::uint64_t>(provenance.candidates));
+  fields.emplace_back("flip", flip);
+  // Joins the decision into the causal DAG: lid = the delivery that
+  // triggered this reconsideration (decisions never spawn events
+  // themselves, so they carry no pid of their own).
+  if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
+  trace_->emit(now, "decision", std::move(fields));
 }
 
 void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
@@ -516,16 +549,18 @@ void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
 void EventEngine::record_fault(const FaultRecord& record) {
   fault_log_.push_back(record);
   ++counters_.faults_applied;
-  if (tracing()) {
-    util::json::Object fields{
-        {"kind", fault_kind_name(record.kind)},
-        {"a", record.a == kNoNode ? std::int64_t{-1} : std::int64_t{record.a}},
-        {"b", record.b == kNoNode ? std::int64_t{-1} : std::int64_t{record.b}},
-        {"cost", record.cost}};
-    if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
-    if (cause_parent_ != kNoCause) fields.emplace_back("pid", cause_parent_);
-    trace_->emit(record.time, "fault", std::move(fields));
-  }
+  if (tracing()) trace_fault(record);
+}
+
+void EventEngine::trace_fault(const FaultRecord& record) {
+  util::json::Object fields{
+      {"kind", fault_kind_name(record.kind)},
+      {"a", record.a == kNoNode ? std::int64_t{-1} : std::int64_t{record.a}},
+      {"b", record.b == kNoNode ? std::int64_t{-1} : std::int64_t{record.b}},
+      {"cost", record.cost}};
+  if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
+  if (cause_parent_ != kNoCause) fields.emplace_back("pid", cause_parent_);
+  trace_->emit(record.time, "fault", std::move(fields));
 }
 
 void EventEngine::record_best_loss(NodeId v, SimTime now) {
@@ -544,10 +579,7 @@ void EventEngine::flush_endpoint(NodeId u, NodeId peer) {
   node.desired_out[pi].clear();
   node.mrai_ready[pi] = 0;
   node.flush_scheduled[pi] = false;  // a pending flush event fires as a no-op
-  for (auto& holders : node.holders) {
-    const auto it = std::lower_bound(holders.begin(), holders.end(), peer);
-    if (it != holders.end() && *it == peer) holders.erase(it);
-  }
+  for (PathId p = 0; p < node.holders.size(); ++p) erase_holder(node, p, peer);
   for (auto& stale : node.stale) {
     const auto it = std::lower_bound(stale.begin(), stale.end(), peer);
     if (it != stale.end() && *it == peer) stale.erase(it);
@@ -596,9 +628,7 @@ std::size_t EventEngine::sweep_stale_from(NodeId w, NodeId v) {
     const auto sit = std::lower_bound(stale.begin(), stale.end(), v);
     if (sit == stale.end() || *sit != v) continue;
     stale.erase(sit);
-    auto& holders = node.holders[p];
-    const auto hit = std::lower_bound(holders.begin(), holders.end(), v);
-    if (hit != holders.end() && *hit == v) holders.erase(hit);
+    erase_holder(node, p, v);
     ++swept;
   }
   return swept;
@@ -680,6 +710,7 @@ void EventEngine::apply_crash(NodeId v, SimTime now) {
   // Total state loss at v; peers re-route around it.
   NodeState& node = nodes_[v];
   for (auto& holders : node.holders) holders.clear();
+  node.lowest_holder.assign(node.lowest_holder.size(), kNoNode);
   for (auto& stale : node.stale) stale.clear();
   node.own.assign(node.own.size(), false);
   record_best_loss(v, now);
@@ -953,17 +984,16 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
           ++counters_.deliveries_voided;
           break;
         }
-        auto& holders = nodes_[event.to].holders[event.path];
-        const auto it = std::lower_bound(holders.begin(), holders.end(), event.from);
+        NodeState& to = nodes_[event.to];
         if (event.announce) {
-          if (it == holders.end() || *it != event.from) holders.insert(it, event.from);
+          insert_holder(to, event.path, event.from);
         } else {
-          if (it != holders.end() && *it == event.from) holders.erase(it);
+          erase_holder(to, event.path, event.from);
         }
         // Any post-restart UPDATE from this peer supersedes the retained
         // copy: an announce refreshes the entry (no longer stale), a
         // withdraw removes it outright.
-        auto& stale = nodes_[event.to].stale[event.path];
+        auto& stale = to.stale[event.path];
         const auto sit = std::lower_bound(stale.begin(), stale.end(), event.from);
         if (sit != stale.end() && *sit == event.from) stale.erase(sit);
         reconsider(event.to, event.time);
@@ -1287,6 +1317,8 @@ void EventEngine::restore(const EngineState& state) {
     const auto& snap = state.nodes[v];
     NodeState& node = nodes_[v];
     node.holders = snap.holders;
+    // Derived state: ibgp-ckpt-v1 stores only the holders.
+    for (PathId p = 0; p < paths; ++p) node.lowest_holder[p] = lowest_of(node.holders[p]);
     node.stale = snap.stale;
     node.own = snap.own;
     if (snap.has_best) {

@@ -306,14 +306,15 @@ class EventEngine {
   void set_trace(obs::TraceSink* trace);
 
   /// Enables hot-path profiler spans: delivery, selection (core::decide),
-  /// and per-peer export/Transfer wall times observed into volatile
+  /// the export filter (per-path rules and per-peer targets), and per-peer
+  /// Transfer (diff + enqueue) wall times observed into volatile
   /// span histograms (engine.span.*_ns) on the attached registry.  Off by
   /// default; when off the instrumented sites cost one null-pointer branch
   /// and never read the clock, so the deterministic outputs stay
   /// bit-identical (same bar as the provenance-sink specialization).
   /// Enabled spans are *sampled*: 1 in 64 deliveries is timed (the first
-  /// always is), with the delivery's nested decision/transfer spans armed
-  /// together so per-sample nesting stays coherent.  The quantiles remain
+  /// always is), with the delivery's nested decision/export/transfer spans
+  /// armed together so per-sample nesting stays coherent.  The quantiles remain
   /// statistically sound at churn rates while the amortized clock cost
   /// keeps enabled overhead well under the 5% CI gate.
   /// Requires set_metrics first (no-op sink otherwise).  Same precondition
@@ -648,9 +649,41 @@ class EventEngine {
     }
   };
 
+  /// How the reflection rules see session peer i of node u: u's own
+  /// client, another reflector of u's cluster, or anyone else.  Fixed by
+  /// the cluster layout, so worked out once per node at construction.
+  enum class PeerClass : std::uint8_t { kOwnClient, kClusterReflector, kOther };
+
+  /// The per-peer export filter of one advertised path at node u (RFC 1966
+  /// with CLUSTER_LIST and ORIGINATOR_ID suppression), derived once per
+  /// decision.  A path is sent to a peer unless the peer is its exit point
+  /// or its attributed source, a same-cluster reflector while the path
+  /// exits inside u's cluster, or — for a path learned from a non-client —
+  /// anything but u's own client.
+  struct ExportRule {
+    PathId path = kNoPath;
+    NodeId exit_point = kNoNode;  // excluded peer; kNoNode for u's own route
+    NodeId source = kNoNode;      // excluded peer: the attributed source
+    bool clients_only = false;
+    bool skip_cluster_reflectors = false;
+
+    [[nodiscard]] bool admits(NodeId peer, PeerClass cls) const {
+      return peer != exit_point && peer != source &&
+             !(skip_cluster_reflectors && cls == PeerClass::kClusterReflector) &&
+             (!clients_only || cls == PeerClass::kOwnClient);
+    }
+  };
+
   struct NodeState {
     /// holders[p] = session peers currently announcing p to us, ascending.
     std::vector<std::vector<NodeId>> holders;
+    /// lowest_holder[p] = the holder of p with the lowest BGP id (ties: the
+    /// lowest node id) — the peer p is attributed to, its learnedFrom — or
+    /// kNoNode when nobody announces p.  Kept current by insert_holder /
+    /// erase_holder; restore() rebuilds it from holders.
+    std::vector<NodeId> lowest_holder;
+    /// peer_class[peer_index]; topology-fixed, never checkpointed.
+    std::vector<PeerClass> peer_class;
     /// stale[p] ⊆ holders[p]: entries retained across the peer's graceful
     /// restart, pending refresh (re-announce), EoR sweep, or timer expiry.
     std::vector<std::vector<NodeId>> stale;
@@ -673,11 +706,19 @@ class EventEngine {
   /// Sends the net diff desired_out -> advertised_out for one peer (MRAI
   /// permitting), or schedules the deferred flush.
   void sync_peer(NodeId u, std::size_t peer_index, SimTime now);
-  [[nodiscard]] bool may_send(NodeId u, NodeId peer, PathId p) const;
   [[nodiscard]] std::size_t peer_index(NodeId u, NodeId peer) const;
-  /// The peer whose copy of p node u has attributed (lowest BGP id holder),
-  /// or kNoNode for own paths / unseen paths.
-  [[nodiscard]] NodeId attributed_source(NodeId u, PathId p) const;
+  /// Adds v to / removes v from node.holders[p] (no-op if already so),
+  /// keeping lowest_holder[p] current.
+  void insert_holder(NodeState& node, PathId p, NodeId v) const;
+  void erase_holder(NodeState& node, PathId p, NodeId v) const;
+  /// The lowest-BGP-id member of an ascending holder list (kNoNode if empty).
+  [[nodiscard]] NodeId lowest_of(std::span<const NodeId> holders) const;
+  /// Trace records of a decision and of a fault, built out of line so the
+  /// JSON code never inlines into reconsider/record_fault.
+  [[gnu::cold, gnu::noinline]] void trace_decision(NodeId u, PathId new_best,
+                                                   const bgp::SelectionProvenance& provenance,
+                                                   bool flip, SimTime now);
+  [[gnu::cold, gnu::noinline]] void trace_fault(const FaultRecord& record);
 
   [[nodiscard]] std::size_t sess(NodeId from, NodeId to) const {
     return static_cast<std::size_t>(from) * inst_->node_count() + to;
@@ -732,6 +773,9 @@ class EventEngine {
   bool sealed_ = false;  // an event has been scheduled: config is frozen
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
   std::vector<NodeState> nodes_;
+  // reconsider() scratch, reused across decisions (never live across one).
+  std::vector<bgp::Candidate> candidates_;
+  std::vector<ExportRule> export_rules_;
   std::vector<SimTime> session_last_delivery_;  // FIFO enforcement, per directed session
   std::vector<std::uint64_t> session_epoch_;  // bumped per reset, voids in-flight msgs
   std::vector<bool> session_admin_down_;      // explicit session faults (symmetric)
@@ -772,23 +816,26 @@ class EventEngine {
   /// clock.  The span sites read the `live_*` pointers, armed once per
   /// delivery by arm(): every 64th delivery (and always the first) gets
   /// real sinks, the rest get null.  Sampling the whole delivery — outer
-  /// span plus its nested decision/transfer spans — keeps each sample's
-  /// nesting coherent and bounds enabled overhead to a fraction of a
-  /// clock read per delivery.
+  /// span plus its nested decision/export/transfer spans — keeps each
+  /// sample's nesting coherent and bounds enabled overhead to a fraction
+  /// of a clock read per delivery.
   struct ProfileHandles {
     obs::Histogram* delivery = nullptr;
     obs::Histogram* decision = nullptr;
+    obs::Histogram* export_filter = nullptr;
     obs::Histogram* transfer = nullptr;
     static constexpr std::uint32_t kSampleMask = 63;
     std::uint32_t tick = kSampleMask;  // first arm() samples
     obs::Histogram* live_delivery = nullptr;
     obs::Histogram* live_decision = nullptr;
+    obs::Histogram* live_export_filter = nullptr;
     obs::Histogram* live_transfer = nullptr;
     void arm() {
       if (delivery == nullptr) return;  // off: live_* stay null
       const bool sample = (++tick & kSampleMask) == 0;
       live_delivery = sample ? delivery : nullptr;
       live_decision = sample ? decision : nullptr;
+      live_export_filter = sample ? export_filter : nullptr;
       live_transfer = sample ? transfer : nullptr;
     }
   } profile_;
@@ -811,6 +858,13 @@ class EventEngine {
 /// shared across sweep workers acquires its (insertion-ordered) layout
 /// deterministically on the main thread before fan-out.  Idempotent.
 void register_event_engine_metrics(obs::MetricsRegistry& registry);
+
+/// Adds a finished run's deterministic metrics to `registry`: its
+/// engine.deliveries, every kEngineCounterFields row and the
+/// engine.decided.* counts — what an engine attached from construction
+/// pushes over a single run() call.  Lets a sweep that replays a journaled
+/// cell instead of running it leave the registry the run would have left.
+void add_run_metrics(obs::MetricsRegistry& registry, const EventEngine::Result& result);
 
 /// Complete deterministic engine state, as captured by EventEngine::capture
 /// and rebuilt by EventEngine::restore.  Plain data by design: src/ckpt/

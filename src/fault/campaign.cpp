@@ -71,6 +71,21 @@ void register_campaign_metrics(obs::MetricsRegistry& registry) {
   engine::register_event_engine_metrics(registry);
 }
 
+void add_campaign_metrics(obs::MetricsRegistry& registry, const CampaignResult& campaign) {
+  registry.counter("campaign.runs").increment();
+  if (campaign.reconverged()) registry.counter("campaign.reconverged").increment();
+  if (campaign.truncated()) registry.counter("campaign.truncated").increment();
+  if (!campaign.invariants.clean()) registry.counter("campaign.unclean").increment();
+  registry.counter("campaign.blackhole_ticks").add(campaign.continuity.blackhole_ticks);
+  registry.counter("campaign.stale_ticks").add(campaign.continuity.stale_ticks);
+  registry.counter("campaign.loop_ticks").add(campaign.continuity.loop_ticks);
+  registry.counter("campaign.deflection_ticks").add(campaign.continuity.deflection_ticks);
+  if (campaign.settle_time) {
+    registry.histogram("campaign.settle_time", settle_bounds())
+        .observe(static_cast<std::int64_t>(*campaign.settle_time));
+  }
+}
+
 namespace {
 
 // Everything downstream of the engine run — verdicts, fingerprint, metric
@@ -97,21 +112,7 @@ CampaignResult finish_campaign(engine::EventEngine& engine, const core::Instance
                                : 0;
   }
 
-  if (options.metrics != nullptr) {
-    auto& reg = *options.metrics;
-    reg.counter("campaign.runs").increment();
-    if (campaign.reconverged()) reg.counter("campaign.reconverged").increment();
-    if (campaign.truncated()) reg.counter("campaign.truncated").increment();
-    if (!campaign.invariants.clean()) reg.counter("campaign.unclean").increment();
-    reg.counter("campaign.blackhole_ticks").add(campaign.continuity.blackhole_ticks);
-    reg.counter("campaign.stale_ticks").add(campaign.continuity.stale_ticks);
-    reg.counter("campaign.loop_ticks").add(campaign.continuity.loop_ticks);
-    reg.counter("campaign.deflection_ticks").add(campaign.continuity.deflection_ticks);
-    if (campaign.settle_time) {
-      reg.histogram("campaign.settle_time", settle_bounds())
-          .observe(static_cast<std::int64_t>(*campaign.settle_time));
-    }
-  }
+  if (options.metrics != nullptr) add_campaign_metrics(*options.metrics, campaign);
 
   if (options.trace != nullptr && options.trace->enabled()) {
     util::json::Object fields;

@@ -142,4 +142,10 @@ std::uint64_t trace_hash(const engine::EventEngine& engine,
 /// threads.  Idempotent.
 void register_campaign_metrics(obs::MetricsRegistry& registry);
 
+/// Adds a finished campaign's campaign.* aggregates and settle-time
+/// observation to `registry` — what run_campaign/resume_campaign push when
+/// CampaignOptions::metrics is set (the engine pushes its own counters;
+/// see engine::add_run_metrics for replaying those).
+void add_campaign_metrics(obs::MetricsRegistry& registry, const CampaignResult& campaign);
+
 }  // namespace ibgp::fault

@@ -308,6 +308,12 @@ SweepResult run_sweep(std::span<const SweepCell> cells, const SweepOptions& opti
     if (options.resume && !options.journal_dir.empty()) {
       if (auto loaded = load_journal_cell(options.journal_dir, i, cells[i])) {
         result.cells[i] = *std::move(loaded);
+        // The replayed cell leaves the deterministic metrics its run would
+        // have left, so a resumed sweep's registry matches an uninterrupted one.
+        if (obs::MetricsRegistry* metrics = cells[i].options.metrics) {
+          add_campaign_metrics(*metrics, result.cells[i]);
+          engine::add_run_metrics(*metrics, result.cells[i].run);
+        }
         bump("supervisor.journal_hits");
         continue;
       }

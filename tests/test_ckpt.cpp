@@ -447,6 +447,35 @@ TEST(Supervisor, JournalResumeReproducesByteIdenticalSweepJson) {
   }
 }
 
+TEST(Supervisor, JournalReplayLeavesTheUninterruptedMetrics) {
+  // A journaled cell is replayed, not re-run: the replay must still add the
+  // cell's campaign.* and engine.* metrics, or a resumed sweep's metrics
+  // fingerprint depends on how much of it was journaled.
+  const auto inst = topo::fig1a();
+  auto cells = make_cells(inst, 5);
+  const std::string dir = testing::TempDir() + "ibgp_journal_metrics";
+  std::filesystem::remove_all(dir);
+  const auto sweep_fingerprint = [&](bool journaled, bool resume) {
+    obs::MetricsRegistry registry;
+    register_supervisor_metrics(registry);
+    for (auto& cell : cells) cell.options.metrics = &registry;
+    SweepOptions options;
+    options.jobs = 2;
+    if (journaled) options.journal_dir = dir;
+    options.resume = resume;
+    (void)run_sweep(cells, options);
+    return registry.fingerprint();
+  };
+
+  const std::uint64_t want = sweep_fingerprint(false, false);
+  EXPECT_EQ(sweep_fingerprint(true, false), want);  // writes the journal
+  EXPECT_EQ(sweep_fingerprint(true, true), want) << "fully journaled";
+  std::filesystem::remove(journal_cell_path(dir, 1));
+  std::filesystem::remove(journal_cell_path(dir, 3));
+  EXPECT_EQ(sweep_fingerprint(true, true), want) << "half journaled";
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Supervisor, JournalIdentityMismatchForcesRerun) {
   const auto inst = topo::fig1a();
   auto cells = make_cells(inst, 2);

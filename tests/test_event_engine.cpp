@@ -15,6 +15,7 @@
 #include "engine/event_engine.hpp"
 #include "engine/oscillation.hpp"
 #include "topo/figures.hpp"
+#include "topo/random.hpp"
 #include "util/rng.hpp"
 
 namespace ibgp::engine {
@@ -469,6 +470,129 @@ TEST(EventEngine, FlapLogRecordsTransitions) {
   const auto& first = engine.flap_log().front();
   EXPECT_EQ(first.old_best, kNoPath);
   EXPECT_NE(first.new_best, kNoPath);
+}
+
+// --- export filter ---------------------------------------------------------------
+
+// The RFC 1966 reflection rule evaluated per (peer, path) straight from the
+// Adj-RIB-In, independent of the engine's per-path export rules.
+bool reference_may_send(const core::Instance& inst, const EngineState::NodeSnapshot& snap,
+                        NodeId u, NodeId peer, PathId p) {
+  const auto& clusters = inst.clusters();
+  const NodeId exit_point = inst.exits()[p].exit_point;
+  if (exit_point == u) return true;      // own E-BGP route: to every peer
+  if (exit_point == peer) return false;  // ORIGINATOR_ID suppression
+  if (clusters.is_client(u)) return false;
+  // CLUSTER_LIST: a route exiting in u's cluster never goes to its reflectors.
+  if (clusters.is_reflector(peer) && clusters.same_cluster(u, peer) &&
+      clusters.same_cluster(exit_point, u)) {
+    return false;
+  }
+  NodeId source = kNoNode;  // learnedFrom: the lowest-BGP-id holder
+  for (const NodeId v : snap.holders[p]) {
+    if (source == kNoNode || inst.bgp_id(v) < inst.bgp_id(source)) source = v;
+  }
+  if (source == kNoNode || source == peer) return false;
+  if (clusters.is_client(source) && clusters.same_cluster(source, u)) return true;
+  return clusters.is_client(peer) && clusters.same_cluster(peer, u);
+}
+
+// Recomputes every up node's decision from a captured snapshot and checks
+// that the best route and each live session's desired_out equal the
+// reference filter of it.  Returns the number of (node, peer) pairs checked.
+std::size_t expect_exports_match_reference(const core::Instance& inst,
+                                           const EventEngine& engine,
+                                           ProtocolKind protocol) {
+  const EngineState state = engine.capture();
+  std::size_t checked = 0;
+  for (NodeId u = 0; u < inst.node_count(); ++u) {
+    if (!engine.node_up(u)) continue;
+    const auto& snap = state.nodes[u];
+    std::vector<bgp::Candidate> candidates;
+    for (PathId p = 0; p < inst.exits().size(); ++p) {
+      if (snap.own[p]) {
+        candidates.push_back({p, inst.exits()[p].ebgp_peer});
+      } else if (!snap.holders[p].empty()) {
+        BgpId lowest = inst.bgp_id(snap.holders[p].front());
+        for (const NodeId v : snap.holders[p]) lowest = std::min(lowest, inst.bgp_id(v));
+        candidates.push_back({p, lowest});
+      }
+    }
+    const auto decision = core::decide(inst, engine.igp(), protocol, u, candidates);
+    EXPECT_EQ(snap.has_best ? snap.best_path : kNoPath,
+              decision.best ? decision.best->path : kNoPath)
+        << "node " << u;
+    const auto peers = inst.sessions().peers(u);
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      // A session that is down carries nothing; its desired set is only
+      // rebuilt once the session (or the peer's graceful restart) resumes.
+      if (!engine.session_up(u, peers[i])) continue;
+      std::vector<PathId> expected;
+      for (const PathId p : decision.advertised) {
+        if (reference_may_send(inst, snap, u, peers[i], p)) expected.push_back(p);
+      }
+      EXPECT_EQ(snap.desired_out[i], expected) << "node " << u << " -> peer " << peers[i];
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+bool any_stale(const EventEngine& engine) {
+  const auto& inst = engine.instance();
+  for (NodeId v = 0; v < inst.node_count(); ++v) {
+    for (PathId p = 0; p < inst.exits().size(); ++p) {
+      if (!engine.stale_rib_in(v, p).empty()) return true;
+    }
+  }
+  return false;
+}
+
+TEST(EventEngine, ExportFilterMatchesPerPeerReferenceUnderChurn) {
+  // Multi-reflector clusters make the CLUSTER_LIST clause matter; MRAI,
+  // a graceful restart (stale holders), an E-BGP withdraw/re-announce and
+  // a link-cost fault move holders and distances between the steps.
+  topo::RandomConfig config;
+  config.clusters = 4;
+  config.min_clients = 1;
+  config.max_clients = 3;
+  config.second_reflector_prob = 0.6;
+  config.exits = 6;
+  config.neighbor_ases = 3;
+  std::size_t checked = 0;
+  std::size_t stale_steps = 0;
+  std::size_t epoch_swaps = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto inst = topo::random_instance(config, seed);
+    const NodeId restarting = inst.clusters().all_reflectors().front();
+    const auto& link = inst.physical().links().front();
+    for (const auto protocol :
+         {ProtocolKind::kStandard, ProtocolKind::kWalton, ProtocolKind::kModified}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " + core::protocol_name(protocol));
+      auto rng = std::make_shared<util::Xoshiro256>(seed);
+      EventEngine engine(inst, protocol, [rng](NodeId, NodeId, std::uint64_t) -> SimTime {
+        return 1 + rng->below(6);
+      });
+      if (seed % 2 == 0) engine.set_mrai(4);
+      engine.inject_all_exits(0);
+      engine.schedule_graceful_down(restarting, 10);
+      engine.schedule_link_cost_change(link.a, link.b, link.cost + 7, 18);
+      engine.withdraw_exit(0, 24);
+      engine.schedule_restart(restarting, 35);
+      engine.inject_exit(0, 50);
+      for (int step = 0; step < 150; ++step) {
+        const auto result = engine.run(5);
+        checked += expect_exports_match_reference(inst, engine, protocol);
+        if (::testing::Test::HasFailure()) return;
+        if (any_stale(engine)) ++stale_steps;
+        if (result.converged) break;
+      }
+      epoch_swaps += engine.counters().igp_epoch_swaps;
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(stale_steps, 0u) << "no step saw a stale holder";
+  EXPECT_GT(epoch_swaps, 0u) << "no link fault swapped an IGP epoch";
 }
 
 }  // namespace
