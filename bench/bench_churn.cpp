@@ -191,7 +191,7 @@ void report() {
     doc.emplace_back("metrics_fingerprint", obs.fingerprint_hex());
     if (bench::config().profile) {
       util::json::Object vol;
-      vol.emplace_back("spans", obs.span_volatile_json());
+      obs.add_span_volatile(vol);
       doc.emplace_back("volatile", util::json::Value(std::move(vol)));
     }
     doc.emplace_back("sweep", fault::sweep_json(cells, sweep));
@@ -257,7 +257,7 @@ int smoke() {
       bench::smoke_volatile_json(serial.wall_seconds, parallel.wall_seconds,
                                  parallel.jobs, speedup)
           .as_object();
-  if (bench::config().profile) vol.emplace_back("spans", obs.span_volatile_json());
+  obs.add_span_volatile(vol);
   doc.emplace_back("volatile", util::json::Value(std::move(vol)));
   doc.emplace_back("fingerprint_match", ok);
   doc.emplace_back("metrics_fingerprint", obs.fingerprint_hex());

@@ -52,9 +52,10 @@ namespace ibgp::bench {
 ///   --strict       abort the whole sweep on the first failing cell
 ///                  (restores the historical lowest-index-wins policy)
 ///   --profile      enable engine.span.* hot-path profiler spans (delivery,
-///                  choose_best, export filter, transfer); p50/p95/p99 go to
-///                  stderr + the volatile JSON section — never to stdout,
-///                  which stays byte-identical to a run without the flag
+///                  candidate build, choose_best, export filter, transfer);
+///                  p50/p95/p99 and the unattributed share go to stderr +
+///                  the volatile JSON section — never to stdout, which stays
+///                  byte-identical to a run without the flag
 struct BenchConfig {
   std::size_t jobs = 0;
   std::string json_path;
@@ -257,21 +258,37 @@ struct ObsSession {
 
   /// The span histograms a --profile run populates, in summary order.
   static constexpr const char* kSpanNames[] = {
-      "engine.span.delivery_ns", "engine.span.decision_ns", "engine.span.export_ns",
-      "engine.span.transfer_ns", "spf.recompute_ns"};
+      "engine.span.delivery_ns", "engine.span.candidates_ns", "engine.span.decision_ns",
+      "engine.span.export_ns",   "engine.span.transfer_ns",   "spf.recompute_ns"};
+  /// The spans nested in the sampled delivery span (and armed with it).
+  static constexpr const char* kDeliveryChildSpans[] = {
+      "engine.span.candidates_ns", "engine.span.decision_ns", "engine.span.export_ns",
+      "engine.span.transfer_ns"};
 
-  /// Volatile JSON object of per-span {count, sum_ns, p50/p95/p99_ns}
-  /// summaries; empty without --profile.  Belongs under a "volatile" key —
-  /// wall time must never land in fingerprinted or diffed output.
-  [[nodiscard]] util::json::Value span_volatile_json() {
-    util::json::Object spans;
-    if (config().profile) {
-      for (const char* name : kSpanNames) {
-        spans.emplace_back(name,
-                           obs::span_summary_json(obs::span_histogram(registry, name)));
-      }
+  /// Share of sampled delivery time that no child span covers.
+  [[nodiscard]] double unattributed_share() {
+    const double delivery =
+        static_cast<double>(obs::span_histogram(registry, "engine.span.delivery_ns").sum());
+    if (delivery <= 0) return 0;
+    double covered = 0;
+    for (const char* name : kDeliveryChildSpans) {
+      covered += static_cast<double>(obs::span_histogram(registry, name).sum());
     }
-    return util::json::Value(std::move(spans));
+    return 1 - covered / delivery;
+  }
+
+  /// With --profile, adds the per-span {count, sum_ns, p50/p95/p99_ns}
+  /// summaries ("spans") and the unattributed share to `vol`, which must be
+  /// a "volatile" object: wall time must never land in fingerprinted or
+  /// diffed output.
+  void add_span_volatile(util::json::Object& vol) {
+    if (!config().profile) return;
+    util::json::Object spans;
+    for (const char* name : kSpanNames) {
+      spans.emplace_back(name, obs::span_summary_json(obs::span_histogram(registry, name)));
+    }
+    vol.emplace_back("spans", util::json::Value(std::move(spans)));
+    vol.emplace_back("span_unattributed_share", unattributed_share());
   }
 
   /// Prints the --profile span quantiles to *stderr* — stdout stays
@@ -283,12 +300,14 @@ struct ObsSession {
     for (const char* name : kSpanNames) {
       const auto& hist = obs::span_histogram(registry, name);
       std::fprintf(stderr,
-                   "  %-24s count=%llu p50=%.0f p95=%.0f p99=%.0f\n", name,
+                   "  %-26s count=%llu p50=%.0f p95=%.0f p99=%.0f\n", name,
                    static_cast<unsigned long long>(hist.total()),
                    obs::histogram_quantile(hist, 0.50),
                    obs::histogram_quantile(hist, 0.95),
                    obs::histogram_quantile(hist, 0.99));
     }
+    std::fprintf(stderr, "  unattributed share of sampled delivery time: %.3f\n",
+                 unattributed_share());
   }
 
   /// Writes the --metrics snapshot (no-op without the flag), detaches every

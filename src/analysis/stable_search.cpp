@@ -52,12 +52,10 @@ std::vector<bool> compute_dominant_safe(const core::Instance& inst) {
   for (const auto& p : inst.exits().all()) {
     if (p.local_pref != max_lp || p.as_path_length != min_len) continue;
     bool ok = true;
-    if (inst.policy().med != bgp::MedMode::kIgnore) {
+    if (const auto group = bgp::med_group(inst.policy(), p.next_as)) {
       for (const auto& q : inst.exits().all()) {
-        const bool same_group = inst.policy().med == bgp::MedMode::kAlwaysCompare ||
-                                q.next_as == p.next_as;
-        if (q.id != p.id && same_group && q.local_pref == max_lp &&
-            q.as_path_length == min_len && q.med < p.med) {
+        if (q.id != p.id && q.local_pref == max_lp && q.as_path_length == min_len &&
+            q.med < p.med && bgp::med_group(inst.policy(), q.next_as) == group) {
           ok = false;
           break;
         }
@@ -113,7 +111,8 @@ std::vector<std::vector<PathId>> build_domains(const core::Instance& inst,
 }
 
 /// True iff visibility of `killer` makes `victim` permanently unselectable
-/// via rules 1-3 (LOCAL-PREF, AS-path length, per-AS MED).  These
+/// via rules 1-3 (LOCAL-PREF, AS-path length, MED within one rule-3 group,
+/// grouped exactly as selection groups it: per-AS overrides included).  These
 /// eliminations are monotone — more visible routes only strengthen them —
 /// so they justify pruning *partial* assignments.
 bool dominates_1to3(const core::Instance& inst, PathId killer, PathId victim) {
@@ -121,10 +120,8 @@ bool dominates_1to3(const core::Instance& inst, PathId killer, PathId victim) {
   const auto& b = inst.exits()[victim];
   if (a.local_pref != b.local_pref) return a.local_pref > b.local_pref;
   if (a.as_path_length != b.as_path_length) return a.as_path_length < b.as_path_length;
-  if (inst.policy().med == bgp::MedMode::kIgnore) return false;
-  const bool same_group =
-      inst.policy().med == bgp::MedMode::kAlwaysCompare || a.next_as == b.next_as;
-  return same_group && a.med < b.med;
+  const auto group = bgp::med_group(inst.policy(), a.next_as);
+  return group && a.med < b.med && bgp::med_group(inst.policy(), b.next_as) == group;
 }
 
 struct SearchState {
@@ -223,10 +220,10 @@ struct SearchState {
     const auto& pb = inst->exits()[b];
     if (pr.local_pref < pb.local_pref) return false;
     if (pr.as_path_length > pb.as_path_length) return false;
-    if (inst->policy().med == bgp::MedMode::kIgnore) return true;
-    const bool same_group =
-        inst->policy().med == bgp::MedMode::kAlwaysCompare || pr.next_as == pb.next_as;
-    return same_group && pr.med <= pb.med;
+    // Exempt from rule 3, r can only fall to rules 1-2, which take b too.
+    const auto group = bgp::med_group(inst->policy(), pr.next_as);
+    if (!group) return true;
+    return pr.med <= pb.med && bgp::med_group(inst->policy(), pb.next_as) == group;
   }
 
   /// One node's superiority condition: w cannot keep choice b_w if some

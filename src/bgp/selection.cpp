@@ -1,38 +1,16 @@
 #include "bgp/selection.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <optional>
 
 namespace ibgp::bgp {
 
-namespace {
-
-/// Keeps only the elements of `views` minimizing key(view).
-template <typename Key>
-void keep_min(std::vector<RouteView>& views, Key key) {
-  if (views.empty()) return;
-  auto best = key(views.front());
-  for (const auto& view : views) best = std::min(best, key(view));
-  std::erase_if(views, [&](const RouteView& view) { return key(view) != best; });
-}
-
-/// Keeps only the elements maximizing key(view).
-template <typename Key>
-void keep_max(std::vector<RouteView>& views, Key key) {
-  if (views.empty()) return;
-  auto best = key(views.front());
-  for (const auto& view : views) best = std::max(best, key(view));
-  std::erase_if(views, [&](const RouteView& view) { return key(view) != best; });
-}
-
-/// The MED elimination group of a route through `as` under `policy`:
-/// nullopt = exempt (kIgnore); a shared sentinel group for every
-/// kAlwaysCompare AS; the AS itself under kPerNeighborAs.  The sentinel is
-/// outside the AsId range so mixes can never collide with a per-AS group.
-constexpr std::uint64_t kSharedMedGroup = std::uint64_t{1} << 32;
-
 std::optional<std::uint64_t> med_group(const SelectionPolicy& policy, AsId as) {
+  // The shared group's sentinel lies outside the AsId range, so mixes can
+  // never collide with a per-AS group.
+  constexpr std::uint64_t kSharedMedGroup = std::uint64_t{1} << 32;
   switch (policy.med_mode_for(as)) {
     case MedMode::kIgnore: return std::nullopt;
     case MedMode::kAlwaysCompare: return kSharedMedGroup;
@@ -41,34 +19,77 @@ std::optional<std::uint64_t> med_group(const SelectionPolicy& policy, AsId as) {
   return as;
 }
 
-/// Rule 3 over an arbitrary range: computes per-group minimum MEDs with
+namespace {
+
+/// Keeps only the items whose key(item) is best under `better`, in input
+/// order, in one pass: a strictly better key restarts the kept prefix.
+template <typename Item, typename Key, typename Better>
+void keep_best(std::vector<Item>& items, Key key, Better better) {
+  if (items.empty()) return;
+  auto best = key(items.front());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto k = key(items[i]);
+    if (better(best, k)) continue;
+    if (better(k, best)) {
+      best = k;
+      kept = 0;
+    }
+    if (kept != i) items[kept] = items[i];
+    ++kept;
+  }
+  items.resize(kept);
+}
+
+/// Keeps only the items minimizing key(item).
+template <typename Item, typename Key>
+void keep_min(std::vector<Item>& items, Key key) {
+  keep_best(items, key, std::less<>{});
+}
+
+/// Keeps only the items maximizing key(item).
+template <typename Item, typename Key>
+void keep_max(std::vector<Item>& items, Key key) {
+  keep_best(items, key, std::greater<>{});
+}
+
+/// Rule 3 over a vector of items: computes per-group minimum MEDs with
 /// `as_of`/`med_of` accessors, then erases non-minimal members.  Exempt
-/// (kIgnore) members never participate and are never erased.
-template <typename Seq, typename AsOf, typename MedOf>
-void med_eliminate_range(Seq& items, const SelectionPolicy& policy, AsOf as_of,
-                         MedOf med_of) {
+/// (kIgnore) members never participate and are never erased.  Each item's
+/// group is resolved once, into scratch.med_row, and reused by the erase.
+template <typename Item, typename AsOf, typename MedOf>
+void med_eliminate_range(std::vector<Item>& items, const SelectionPolicy& policy,
+                         SelectionScratch& scratch, AsOf as_of, MedOf med_of) {
   if (items.empty()) return;
   // Per-group minimum MEDs in a flat table: a selection sees a handful of
   // groups (at most one per neighbour AS), for which a scan beats a tree.
-  std::vector<std::pair<std::uint64_t, Med>> group_min;
-  group_min.reserve(items.size());
-  const auto find_group = [&](std::uint64_t group) {
-    return std::find_if(group_min.begin(), group_min.end(),
-                        [&](const auto& entry) { return entry.first == group; });
-  };
+  constexpr std::uint32_t kExempt = std::numeric_limits<std::uint32_t>::max();
+  auto& group_min = scratch.med_min;
+  auto& row_of = scratch.med_row;
+  group_min.clear();
+  row_of.clear();
   for (const auto& item : items) {
     const auto group = med_group(policy, as_of(item));
-    if (!group) continue;
-    if (const auto it = find_group(*group); it != group_min.end()) {
+    if (!group) {
+      row_of.push_back(kExempt);
+      continue;
+    }
+    const auto it = std::find_if(group_min.begin(), group_min.end(),
+                                 [&](const auto& entry) { return entry.first == *group; });
+    row_of.push_back(static_cast<std::uint32_t>(it - group_min.begin()));
+    if (it != group_min.end()) {
       it->second = std::min(it->second, med_of(item));
     } else {
       group_min.emplace_back(*group, med_of(item));
     }
   }
-  std::erase_if(items, [&](const auto& item) {
-    const auto group = med_group(policy, as_of(item));
-    return group && med_of(item) != find_group(*group)->second;
-  });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (row_of[i] != kExempt && med_of(items[i]) != group_min[row_of[i]].second) continue;
+    if (kept != i) items[kept] = items[i];
+    ++kept;
+  }
+  items.resize(kept);
 }
 
 /// Rule 4: when any E-BGP route survives, I-BGP routes are out.
@@ -89,33 +110,41 @@ std::vector<PathId> ids_of(const std::vector<RouteView>& views) {
   return ids;
 }
 
+/// Rules 1-3 in place over items naming a path through `path_of`, keeping
+/// the survivors in input order.
+template <typename Item, typename PathOf>
+void keep_rules_1to3(const ExitTable& table, const SelectionPolicy& policy,
+                     SelectionScratch& scratch, std::vector<Item>& items, PathOf path_of) {
+  const auto attrs = [&](const Item& item) -> const ExitPath& { return table[path_of(item)]; };
+
+  // Rule 1: highest LOCAL-PREF.
+  keep_max(items, [&](const Item& item) { return attrs(item).local_pref; });
+
+  // Rule 2: shortest AS-path.
+  keep_min(items, [&](const Item& item) { return attrs(item).as_path_length; });
+
+  // Rule 3: MED elimination under the (possibly mixed) regime.
+  med_eliminate_range(
+      items, policy, scratch, [&](const Item& item) { return attrs(item).next_as; },
+      [&](const Item& item) { return attrs(item).med; });
+}
+
 }  // namespace
 
 std::vector<PathId> choose_survivors(const ExitTable& table, std::span<const PathId> paths,
                                      const SelectionPolicy& policy) {
-  if (paths.empty()) return {};
-
-  // Rule 1: highest LOCAL-PREF.
-  LocalPref best_lp = 0;
-  for (const PathId id : paths) best_lp = std::max(best_lp, table[id].local_pref);
-  std::vector<PathId> alive;
-  for (const PathId id : paths) {
-    if (table[id].local_pref == best_lp) alive.push_back(id);
-  }
-
-  // Rule 2: shortest AS-path.
-  std::uint32_t best_len = std::numeric_limits<std::uint32_t>::max();
-  for (const PathId id : alive) best_len = std::min(best_len, table[id].as_path_length);
-  std::erase_if(alive, [&](PathId id) { return table[id].as_path_length != best_len; });
-
-  // Rule 3: MED elimination under the (possibly mixed) regime.
-  med_eliminate_range(
-      alive, policy, [&](PathId id) { return table[id].next_as; },
-      [&](PathId id) { return table[id].med; });
-
+  SelectionScratch scratch;
+  std::vector<PathId> alive(paths.begin(), paths.end());
+  keep_rules_1to3(table, policy, scratch, alive, [](PathId id) { return id; });
   std::sort(alive.begin(), alive.end());
   alive.erase(std::unique(alive.begin(), alive.end()), alive.end());
   return alive;
+}
+
+void keep_survivors(const ExitTable& table, const SelectionPolicy& policy,
+                    SelectionScratch& scratch, std::vector<Candidate>& candidates) {
+  keep_rules_1to3(table, policy, scratch, candidates,
+                  [](const Candidate& candidate) { return candidate.path; });
 }
 
 std::vector<PathId> choose_survivors(const ExitTable& table, std::span<const PathId> paths,
@@ -140,14 +169,13 @@ std::optional<RouteView> make_route_view(const ExitTable& table,
 
 namespace {
 
-std::vector<RouteView> usable_views(const ExitTable& table, const netsim::ShortestPaths& igp,
-                                    NodeId u, std::span<const Candidate> candidates) {
-  std::vector<RouteView> views;
-  views.reserve(candidates.size());
+/// Fills `views` with the candidates whose exit point u can reach.
+void usable_views(const ExitTable& table, const netsim::ShortestPaths& igp, NodeId u,
+                  std::span<const Candidate> candidates, std::vector<RouteView>& views) {
+  views.clear();
   for (const auto& candidate : candidates) {
     if (auto view = make_route_view(table, igp, u, candidate)) views.push_back(*view);
   }
-  return views;
 }
 
 // The rule cascade, specialized at compile time on whether a provenance
@@ -157,10 +185,10 @@ std::vector<RouteView> usable_views(const ExitTable& table, const netsim::Shorte
 // kProvenance=false instantiation carries zero counting code instead of a
 // provenance branch per rule.
 template <bool kProvenance>
-std::optional<RouteView> finish(const ExitTable& table, std::vector<RouteView> views,
-                                const SelectionPolicy& policy,
-                                SelectionExplanation* explanation,
+std::optional<RouteView> finish(const ExitTable& table, const SelectionPolicy& policy,
+                                SelectionScratch& scratch, SelectionExplanation* explanation,
                                 SelectionProvenance* provenance) {
+  std::vector<RouteView>& views = scratch.views;
   auto record = [&](const char* stage) {
     if (explanation != nullptr) explanation->stages.emplace_back(stage, ids_of(views));
   };
@@ -192,7 +220,7 @@ std::optional<RouteView> finish(const ExitTable& table, std::vector<RouteView> v
   // Rule 3.
   before = views.size();
   med_eliminate_range(
-      views, policy, [&](const RouteView& v) { return table[v.path].next_as; },
+      views, policy, scratch, [&](const RouteView& v) { return table[v.path].next_as; },
       [&](const RouteView& v) { return table[v.path].med; });
   charge(SelectionRule::kMed, before);
   record("rule 3: per-AS MED elimination");
@@ -255,16 +283,24 @@ std::string_view selection_rule_name(SelectionRule rule) {
 std::optional<RouteView> choose_best(const ExitTable& table, const netsim::ShortestPaths& igp,
                                      NodeId u, std::span<const Candidate> candidates,
                                      const SelectionPolicy& policy,
-                                     SelectionProvenance* provenance) {
+                                     SelectionProvenance* provenance,
+                                     SelectionScratch& scratch) {
+  usable_views(table, igp, u, candidates, scratch.views);
   if (provenance != nullptr) {
     *provenance = SelectionProvenance{};
     provenance->candidates = candidates.size();
-    auto views = usable_views(table, igp, u, candidates);
-    provenance->unreachable = candidates.size() - views.size();
-    return finish<true>(table, std::move(views), policy, nullptr, provenance);
+    provenance->unreachable = candidates.size() - scratch.views.size();
+    return finish<true>(table, policy, scratch, nullptr, provenance);
   }
-  return finish<false>(table, usable_views(table, igp, u, candidates), policy, nullptr,
-                       nullptr);
+  return finish<false>(table, policy, scratch, nullptr, nullptr);
+}
+
+std::optional<RouteView> choose_best(const ExitTable& table, const netsim::ShortestPaths& igp,
+                                     NodeId u, std::span<const Candidate> candidates,
+                                     const SelectionPolicy& policy,
+                                     SelectionProvenance* provenance) {
+  SelectionScratch scratch;
+  return choose_best(table, igp, u, candidates, policy, provenance, scratch);
 }
 
 SelectionExplanation explain_selection(const ExitTable& table,
@@ -272,8 +308,9 @@ SelectionExplanation explain_selection(const ExitTable& table,
                                        std::span<const Candidate> candidates,
                                        const SelectionPolicy& policy) {
   SelectionExplanation explanation;
-  explanation.best = finish<false>(table, usable_views(table, igp, u, candidates), policy,
-                                   &explanation, nullptr);
+  SelectionScratch scratch;
+  usable_views(table, igp, u, candidates, scratch.views);
+  explanation.best = finish<false>(table, policy, scratch, &explanation, nullptr);
   return explanation;
 }
 

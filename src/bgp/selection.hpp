@@ -89,6 +89,12 @@ struct SelectionPolicy {
   friend bool operator==(const SelectionPolicy&, const SelectionPolicy&) = default;
 };
 
+/// The rule-3 elimination group of a route through `as` under `policy`:
+/// nullopt when exempt (kIgnore), one group shared by every kAlwaysCompare
+/// AS, otherwise the AS itself.  Two routes' MEDs are compared iff both
+/// have the same group.
+std::optional<std::uint64_t> med_group(const SelectionPolicy& policy, AsId as);
+
 /// A route as evaluated at a particular node u: exit path + the IGP metric of
 /// the internal part + who advertised it to u (Section 4's route(p, u) with
 /// learnedFrom).
@@ -109,6 +115,18 @@ struct Candidate {
   friend bool operator==(const Candidate&, const Candidate&) = default;
 };
 
+/// Caller-owned working storage for selection.  A caller that selects over
+/// and over (the event engine decides on every delivery) keeps one and
+/// passes it to the scratch overloads below, which then allocate nothing
+/// once the buffers have grown.  Contents are meaningless between calls.
+struct SelectionScratch {
+  std::vector<RouteView> views;  ///< usable routes, narrowed rule by rule
+  std::vector<Candidate> good;   ///< the GoodExits candidates (core::decide)
+  /// Rule 3: each item's row in med_min (or exempt), resolved once per pass.
+  std::vector<std::uint32_t> med_row;
+  std::vector<std::pair<std::uint64_t, Med>> med_min;  ///< (MED group, minimum MED)
+};
+
 /// Rules 1-3 (Choose^B, Fig 10) over bare exit paths.  Node-independent.
 /// Returns surviving ids in ascending order.  The policy's MED regime
 /// (including per-AS overrides) governs rule 3; `order` is irrelevant here.
@@ -118,6 +136,12 @@ std::vector<PathId> choose_survivors(const ExitTable& table, std::span<const Pat
 /// Convenience overload for the classic single-regime case.
 std::vector<PathId> choose_survivors(const ExitTable& table, std::span<const PathId> paths,
                                      MedMode med_mode = MedMode::kPerNeighborAs);
+
+/// Rules 1-3 in place, the allocation-free form core::decide uses: keeps the
+/// candidates whose path is in choose_survivors of their paths, in input
+/// order, learnedFrom intact.
+void keep_survivors(const ExitTable& table, const SelectionPolicy& policy,
+                    SelectionScratch& scratch, std::vector<Candidate>& candidates);
 
 /// Materializes route(p, u): metric and E-BGP-ness of `path` as seen from
 /// node u.  Returns nullopt when the exit point is IGP-unreachable from u.
@@ -179,6 +203,13 @@ std::optional<RouteView> choose_best(const ExitTable& table, const netsim::Short
                                      NodeId u, std::span<const Candidate> candidates,
                                      const SelectionPolicy& policy = {},
                                      SelectionProvenance* provenance = nullptr);
+
+/// The same, working in `scratch` (`candidates` may live in scratch.good).
+std::optional<RouteView> choose_best(const ExitTable& table, const netsim::ShortestPaths& igp,
+                                     NodeId u, std::span<const Candidate> candidates,
+                                     const SelectionPolicy& policy,
+                                     SelectionProvenance* provenance,
+                                     SelectionScratch& scratch);
 
 /// Step-by-step record of one selection, for explanation tools and tests.
 struct SelectionExplanation {

@@ -69,43 +69,47 @@ NodeDecision decide(const Instance& inst, const netsim::ShortestPaths& igp,
                     ProtocolKind kind, NodeId node,
                     std::span<const bgp::Candidate> possible,
                     bgp::SelectionProvenance* provenance) {
+  bgp::SelectionScratch scratch;
   NodeDecision decision;
+  decide(inst, igp, kind, node, possible, provenance, scratch, decision);
+  return decision;
+}
+
+void decide(const Instance& inst, const netsim::ShortestPaths& igp, ProtocolKind kind,
+            NodeId node, std::span<const bgp::Candidate> possible,
+            bgp::SelectionProvenance* provenance, bgp::SelectionScratch& scratch,
+            NodeDecision& out) {
   const auto& table = inst.exits();
+  out.advertised.clear();
 
   switch (kind) {
     case ProtocolKind::kStandard: {
-      decision.best =
-          bgp::choose_best(table, igp, node, possible, inst.policy(), provenance);
-      if (decision.best) decision.advertised.push_back(decision.best->path);
+      out.best = bgp::choose_best(table, igp, node, possible, inst.policy(), provenance,
+                                  scratch);
+      if (out.best) out.advertised.push_back(out.best->path);
       break;
     }
     case ProtocolKind::kWalton: {
-      decision.best =
-          bgp::choose_best(table, igp, node, possible, inst.policy(), provenance);
-      decision.advertised = walton_advertised(inst, igp, node, possible);
+      out.best = bgp::choose_best(table, igp, node, possible, inst.policy(), provenance,
+                                  scratch);
+      out.advertised = walton_advertised(inst, igp, node, possible);
       break;
     }
     case ProtocolKind::kModified: {
       // GoodExits = Choose^B(PossibleExits): rules 1-3 over bare paths.
-      std::vector<PathId> ids;
-      ids.reserve(possible.size());
-      for (const auto& candidate : possible) ids.push_back(candidate.path);
-      decision.advertised = bgp::choose_survivors(table, ids, inst.policy());
-
-      // BestRoute is chosen from GoodExits (Section 6), so restrict the
-      // candidate set to the survivors while keeping learnedFrom intact.
-      std::vector<bgp::Candidate> good;
-      for (const auto& candidate : possible) {
-        if (std::binary_search(decision.advertised.begin(), decision.advertised.end(),
-                               candidate.path)) {
-          good.push_back(candidate);
-        }
-      }
-      decision.best = bgp::choose_best(table, igp, node, good, inst.policy(), provenance);
+      // BestRoute is chosen from GoodExits (Section 6), so the survivors
+      // keep their learnedFrom attribution.
+      scratch.good.assign(possible.begin(), possible.end());
+      bgp::keep_survivors(table, inst.policy(), scratch, scratch.good);
+      for (const auto& candidate : scratch.good) out.advertised.push_back(candidate.path);
+      std::sort(out.advertised.begin(), out.advertised.end());
+      out.advertised.erase(std::unique(out.advertised.begin(), out.advertised.end()),
+                           out.advertised.end());
+      out.best = bgp::choose_best(table, igp, node, scratch.good, inst.policy(), provenance,
+                                  scratch);
       break;
     }
   }
-  return decision;
 }
 
 }  // namespace ibgp::core

@@ -62,6 +62,15 @@ NodeDecision decide(const Instance& inst, const netsim::ShortestPaths& igp,
                     std::span<const bgp::Candidate> possible,
                     bgp::SelectionProvenance* provenance = nullptr);
 
+/// The same decision written into `out`, with every selection working in
+/// `scratch`: the allocation-free form for a caller that decides over and
+/// over (the event engine keeps one `out` and one `scratch`).  `possible`
+/// must not live in `scratch`.
+void decide(const Instance& inst, const netsim::ShortestPaths& igp, ProtocolKind kind,
+            NodeId node, std::span<const bgp::Candidate> possible,
+            bgp::SelectionProvenance* provenance, bgp::SelectionScratch& scratch,
+            NodeDecision& out);
+
 /// The Walton advertised set in isolation (exposed for tests): best route
 /// per neighboring AS among `possible`, filtered to those matching the
 /// overall best's LOCAL-PREF and AS-path length.

@@ -46,6 +46,7 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
       ebgp_live_(inst.exits().size(), false),
       decisions_by_node_(inst.node_count()),
       flips_by_node_(inst.node_count(), 0) {
+  named_stamp_.assign(inst.node_count(), 0);
   const std::size_t paths = inst.exits().size();
   const auto& clusters = inst.clusters();
   for (NodeId v = 0; v < nodes_.size(); ++v) {
@@ -65,6 +66,7 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
     nodes_[v].desired_out.resize(peer_count);
     nodes_[v].mrai_ready.assign(peer_count, 0);
     nodes_[v].flush_scheduled.assign(peer_count, false);
+    nodes_[v].settled.assign(peer_count, 0);
   }
 }
 
@@ -110,6 +112,7 @@ void register_event_engine_metrics(obs::MetricsRegistry& registry) {
   registry.gauge("engine.queue_depth_max");  // schedule-dependent: volatile
   // Profiler span sinks (set_profile): wall time is volatile by nature.
   obs::span_histogram(registry, "engine.span.delivery_ns");
+  obs::span_histogram(registry, "engine.span.candidates_ns");
   obs::span_histogram(registry, "engine.span.decision_ns");
   obs::span_histogram(registry, "engine.span.export_ns");
   obs::span_histogram(registry, "engine.span.transfer_ns");
@@ -153,6 +156,7 @@ void EventEngine::set_profile(bool enabled) {
   profile_ = ProfileHandles{};
   if (!enabled || metrics_ == nullptr) return;
   profile_.delivery = &obs::span_histogram(*metrics_, "engine.span.delivery_ns");
+  profile_.candidates = &obs::span_histogram(*metrics_, "engine.span.candidates_ns");
   profile_.decision = &obs::span_histogram(*metrics_, "engine.span.decision_ns");
   profile_.export_filter = &obs::span_histogram(*metrics_, "engine.span.export_ns");
   profile_.transfer = &obs::span_histogram(*metrics_, "engine.span.transfer_ns");
@@ -330,6 +334,23 @@ NodeId EventEngine::lowest_of(std::span<const NodeId> holders) const {
   return best;
 }
 
+void EventEngine::index_path(NodeState& node, PathId p, bool candidate) {
+  auto& index = node.candidate_paths;
+  const auto it = std::lower_bound(index.begin(), index.end(), p);
+  if (candidate) {
+    index.insert(it, p);
+  } else {
+    index.erase(it);
+  }
+}
+
+void EventEngine::set_own(NodeState& node, PathId p, bool own) {
+  if (node.own[p] == own) return;
+  node.own[p] = own;
+  // With a holder, p stays a candidate either way.
+  if (node.lowest_holder[p] == kNoNode) index_path(node, p, own);
+}
+
 void EventEngine::insert_holder(NodeState& node, PathId p, NodeId v) const {
   auto& holders = node.holders[p];
   const auto it = std::lower_bound(holders.begin(), holders.end(), v);
@@ -337,6 +358,7 @@ void EventEngine::insert_holder(NodeState& node, PathId p, NodeId v) const {
   holders.insert(it, v);
   // Same winner as lowest_of's ascending scan: lower BGP id, then lower node.
   NodeId& lowest = node.lowest_holder[p];
+  if (lowest == kNoNode && !node.own[p]) index_path(node, p, true);  // first holder
   if (lowest == kNoNode || inst_->bgp_id(v) < inst_->bgp_id(lowest) ||
       (inst_->bgp_id(v) == inst_->bgp_id(lowest) && v < lowest)) {
     lowest = v;
@@ -348,7 +370,9 @@ void EventEngine::erase_holder(NodeState& node, PathId p, NodeId v) const {
   const auto it = std::lower_bound(holders.begin(), holders.end(), v);
   if (it == holders.end() || *it != v) return;
   holders.erase(it);
-  if (node.lowest_holder[p] == v) node.lowest_holder[p] = lowest_of(holders);
+  if (node.lowest_holder[p] != v) return;
+  node.lowest_holder[p] = lowest_of(holders);
+  if (node.lowest_holder[p] == kNoNode && !node.own[p]) index_path(node, p, false);  // last holder
 }
 
 void EventEngine::push_update(NodeId from, NodeId to, PathId path, bool announce,
@@ -397,14 +421,14 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   NodeState& node = nodes_[u];
   const auto& exits = inst_->exits();
 
-  // Candidates: own injected exits plus everything some peer announced,
-  // each attributed to its lowest-BGP-id holder.
-  candidates_.clear();
-  for (PathId p = 0; p < exits.size(); ++p) {
-    if (node.own[p]) {
-      candidates_.push_back({p, exits[p].ebgp_peer});
-    } else if (const NodeId source = node.lowest_holder[p]; source != kNoNode) {
-      candidates_.push_back({p, inst_->bgp_id(source)});
+  // Candidates: the index of own injected exits plus everything some peer
+  // announced, each attributed to its lowest-BGP-id holder.
+  {
+    const obs::Span span(profile_.live_candidates);
+    candidates_.clear();
+    for (const PathId p : node.candidate_paths) {
+      candidates_.push_back({p, node.own[p] ? exits[p].ebgp_peer
+                                            : inst_->bgp_id(node.lowest_holder[p])});
     }
   }
 
@@ -412,10 +436,11 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   // fault the same candidate set can pick a different exit purely because
   // the distances moved.
   bgp::SelectionProvenance provenance;
-  const auto decision = [&] {
+  {
     const obs::Span span(profile_.live_decision);
-    return core::decide(*inst_, *igp_, protocol_, u, candidates_, &provenance);
-  }();
+    core::decide(*inst_, *igp_, protocol_, u, candidates_, &provenance, selection_scratch_,
+                 decision_);
+  }
   if (provenance.selected) {
     ++counters_.decisions_total;
     ++decisions_by_rule_[rule_index(provenance.decisive)];
@@ -425,14 +450,14 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   }
 
   const PathId old_best = node.best ? node.best->path : kNoPath;
-  const PathId new_best = decision.best ? decision.best->path : kNoPath;
+  const PathId new_best = decision_.best ? decision_.best->path : kNoPath;
   if (old_best != new_best) {
     ++counters_.best_flips;
     ++flips_by_node_[u];
     flap_log_.push_back({now, u, old_best, new_best});
   }
   if (tracing()) trace_decision(u, new_best, provenance, old_best != new_best, now);
-  node.best = decision.best;
+  node.best = decision_.best;
   // reconsider only runs on control-plane-up nodes, so the FIB tracks the
   // best route here.  A FIB frozen by graceful restart stays on its
   // pre-restart entry through the post-restart resync (when best is
@@ -447,18 +472,19 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   }
 
   // Export filter (the reflection rules of the header comment): one rule per
-  // advertised path, then each peer's target set from its class.  Besides
-  // the rules, a path never goes back to its exit point (ORIGINATOR_ID), and
-  // one exiting inside u's cluster never goes to the cluster's other
-  // reflectors (CLUSTER_LIST; constraint 2 of Section 4): each hears it from
-  // the exit point directly, and without the check two same-cluster
-  // reflectors endlessly re-attribute each other's reflections.
+  // advertised path, then each peer's target set.  Besides the rules, a path
+  // never goes back to its exit point (ORIGINATOR_ID), and one exiting
+  // inside u's cluster never goes to the cluster's other reflectors
+  // (CLUSTER_LIST; constraint 2 of Section 4): each hears it from the exit
+  // point directly, and without the check two same-cluster reflectors
+  // endlessly re-attribute each other's reflections.
   const auto peers = inst_->sessions().peers(u);
   {
     const obs::Span span(profile_.live_export_filter);
     const auto& clusters = inst_->clusters();
     export_rules_.clear();
-    for (const PathId p : decision.advertised) {
+    ++export_stamp_;  // marks this decision's named peers in named_stamp_
+    for (const PathId p : decision_.advertised) {
       const NodeId exit_point = exits[p].exit_point;
       if (exit_point == u) {
         export_rules_.push_back({p});
@@ -470,18 +496,53 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
       const bool from_own_client = clusters.is_client(source) && clusters.same_cluster(source, u);
       export_rules_.push_back({p, exit_point, source, !from_own_client,
                                clusters.same_cluster(exit_point, u)});
+      named_stamp_[exit_point] = export_stamp_;
+      named_stamp_[source] = export_stamp_;
     }
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-      std::vector<PathId>& target = node.desired_out[i];
+    // A peer no rule names as its exit point or source receives exactly its
+    // class's target; only the named peers need a per-peer fill.  A settled
+    // peer (see NodeState::settled) whose class target did not change
+    // already has that target and advertised it: nothing to do for it.
+    std::array<bool, kPeerClassCount> class_changed{};
+    for (std::size_t c = 0; c < kPeerClassCount; ++c) {
+      std::vector<PathId>& target = class_targets_[c];
       target.clear();
       for (const ExportRule& rule : export_rules_) {
-        if (rule.admits(peers[i], node.peer_class[i])) target.push_back(rule.path);
+        if (rule.admits_class(static_cast<PeerClass>(c))) target.push_back(rule.path);
+      }
+      class_changed[c] = target != node.class_out[c];
+      if (class_changed[c]) node.class_out[c].swap(target);
+    }
+    visit_.clear();
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      const auto cls = static_cast<std::size_t>(node.peer_class[i]);
+      const bool named = named_stamp_[peers[i]] == export_stamp_;
+      if (node.settled[i] && !named && !class_changed[cls]) continue;
+      visit_.push_back(i);
+      std::vector<PathId>& target = node.desired_out[i];
+      if (named) {
+        target.clear();
+        for (const ExportRule& rule : export_rules_) {
+          if (rule.admits(peers[i], node.peer_class[i])) target.push_back(rule.path);
+        }
+      } else if (target != node.class_out[cls]) {
+        target = node.class_out[cls];
       }
     }
   }
   // UPDATE diffs flow immediately, or — with an MRAI configured — as
-  // batched net diffs at the next permitted send time.
-  for (std::size_t i = 0; i < peers.size(); ++i) sync_peer(u, i, now);
+  // batched net diffs at the next permitted send time.  A peer already
+  // advertised its target and outside hold-down would send nothing, so it
+  // is skipped; inside hold-down the call still counts the deferral and
+  // schedules the flush.
+  for (const std::size_t i : visit_) {
+    const auto in_sync = [&] {
+      return node.desired_out[i] == node.advertised_out[i] &&
+             (mrai_ == 0 || now >= node.mrai_ready[i]);
+    };
+    if (!in_sync()) sync_peer(u, i, now);
+    node.settled[i] = named_stamp_[peers[i]] != export_stamp_ && in_sync();
+  }
 }
 
 void EventEngine::trace_decision(NodeId u, PathId new_best,
@@ -572,13 +633,17 @@ void EventEngine::record_best_loss(NodeId v, SimTime now) {
   node.best.reset();
 }
 
+void EventEngine::reset_peer(NodeState& node, std::size_t peer_index) {
+  node.advertised_out[peer_index].clear();
+  node.desired_out[peer_index].clear();
+  node.mrai_ready[peer_index] = 0;
+  node.flush_scheduled[peer_index] = false;  // a pending flush event fires as a no-op
+  node.settled[peer_index] = 0;
+}
+
 void EventEngine::flush_endpoint(NodeId u, NodeId peer) {
   NodeState& node = nodes_[u];
-  const std::size_t pi = peer_index(u, peer);
-  node.advertised_out[pi].clear();
-  node.desired_out[pi].clear();
-  node.mrai_ready[pi] = 0;
-  node.flush_scheduled[pi] = false;  // a pending flush event fires as a no-op
+  reset_peer(node, peer_index(u, peer));
   for (PathId p = 0; p < node.holders.size(); ++p) erase_holder(node, p, peer);
   for (auto& stale : node.stale) {
     const auto it = std::lower_bound(stale.begin(), stale.end(), peer);
@@ -596,12 +661,8 @@ void EventEngine::detach_session_graceful(NodeId v, NodeId w) {
   session_last_delivery_[sess(w, v)] = 0;
   flush_endpoint(v, w);
   NodeState& wn = nodes_[w];
-  const std::size_t pi = peer_index(w, v);
   // w must replay its full table on re-establishment (v remembers nothing).
-  wn.advertised_out[pi].clear();
-  wn.desired_out[pi].clear();
-  wn.mrai_ready[pi] = 0;
-  wn.flush_scheduled[pi] = false;
+  reset_peer(wn, peer_index(w, v));
   for (PathId p = 0; p < wn.holders.size(); ++p) {
     const auto& holders = wn.holders[p];
     if (!std::binary_search(holders.begin(), holders.end(), v)) continue;
@@ -713,15 +774,11 @@ void EventEngine::apply_crash(NodeId v, SimTime now) {
   node.lowest_holder.assign(node.lowest_holder.size(), kNoNode);
   for (auto& stale : node.stale) stale.clear();
   node.own.assign(node.own.size(), false);
+  node.candidate_paths.clear();
   record_best_loss(v, now);
   fib_frozen_[v] = false;
   set_fib(v, kNoPath, now);
-  for (std::size_t i = 0; i < node.advertised_out.size(); ++i) {
-    node.advertised_out[i].clear();
-    node.desired_out[i].clear();
-    node.mrai_ready[i] = 0;
-    node.flush_scheduled[i] = false;
-  }
+  for (std::size_t i = 0; i < node.advertised_out.size(); ++i) reset_peer(node, i);
   for (const NodeId w : peers) {
     if (node_up_[w]) reconsider(w, now);
   }
@@ -736,7 +793,7 @@ void EventEngine::apply_restart(NodeId v, SimTime now) {
   // The external neighbors never stopped announcing: re-learn every E-BGP
   // route of ours that is still live.
   for (PathId p = 0; p < inst_->exits().size(); ++p) {
-    if (inst_->exits()[p].exit_point == v && ebgp_live_[p]) nodes_[v].own[p] = true;
+    if (inst_->exits()[p].exit_point == v && ebgp_live_[p]) set_own(nodes_[v], p, true);
   }
   reconsider(v, now);
   if (was_graceful) {
@@ -764,7 +821,7 @@ void EventEngine::apply_graceful_down(NodeId v, SimTime now) {
   // v's control plane loses everything (detach cleared its per-session
   // state); the FIB entry deliberately stays frozen — the data plane keeps
   // forwarding on it until restart, crash, or cold fallback.
-  nodes_[v].own.assign(nodes_[v].own.size(), false);
+  for (PathId p = 0; p < inst_->exits().size(); ++p) set_own(nodes_[v], p, false);
   record_best_loss(v, now);
   fib_frozen_[v] = true;
   if (stale_timer_ > 0) {
@@ -947,7 +1004,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
           trace_->emit(event.time, "ebgp-announce", std::move(fields));
         }
         if (node_up_[event.to]) {
-          nodes_[event.to].own[event.path] = true;
+          set_own(nodes_[event.to], event.path, true);
           reconsider(event.to, event.time);
         }
         break;
@@ -961,7 +1018,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
           trace_->emit(event.time, "ebgp-withdraw", std::move(fields));
         }
         if (node_up_[event.to]) {
-          nodes_[event.to].own[event.path] = false;
+          set_own(nodes_[event.to], event.path, false);
           reconsider(event.to, event.time);
         }
         break;
@@ -1317,10 +1374,14 @@ void EventEngine::restore(const EngineState& state) {
     const auto& snap = state.nodes[v];
     NodeState& node = nodes_[v];
     node.holders = snap.holders;
-    // Derived state: ibgp-ckpt-v1 stores only the holders.
-    for (PathId p = 0; p < paths; ++p) node.lowest_holder[p] = lowest_of(node.holders[p]);
     node.stale = snap.stale;
     node.own = snap.own;
+    // Derived state: ibgp-ckpt-v1 stores only the holders and own flags.
+    node.candidate_paths.clear();
+    for (PathId p = 0; p < paths; ++p) {
+      node.lowest_holder[p] = lowest_of(node.holders[p]);
+      if (node.own[p] || node.lowest_holder[p] != kNoNode) node.candidate_paths.push_back(p);
+    }
     if (snap.has_best) {
       node.best = bgp::RouteView{snap.best_path, snap.best_metric,
                                  snap.best_learned_from, snap.best_is_ebgp};
@@ -1331,6 +1392,8 @@ void EventEngine::restore(const EngineState& state) {
     node.desired_out = snap.desired_out;
     node.mrai_ready = snap.mrai_ready;
     node.flush_scheduled = snap.flush_scheduled;
+    // Derived, not checkpointed: the next decision visits every peer.
+    node.settled.assign(node.settled.size(), 0);
   }
 
   session_last_delivery_ = state.session_last_delivery;

@@ -305,16 +305,17 @@ class EventEngine {
   /// precondition as set_mrai: must be called before any event is scheduled.
   void set_trace(obs::TraceSink* trace);
 
-  /// Enables hot-path profiler spans: delivery, selection (core::decide),
-  /// the export filter (per-path rules and per-peer targets), and per-peer
-  /// Transfer (diff + enqueue) wall times observed into volatile
-  /// span histograms (engine.span.*_ns) on the attached registry.  Off by
-  /// default; when off the instrumented sites cost one null-pointer branch
-  /// and never read the clock, so the deterministic outputs stay
-  /// bit-identical (same bar as the provenance-sink specialization).
-  /// Enabled spans are *sampled*: 1 in 64 deliveries is timed (the first
-  /// always is), with the delivery's nested decision/export/transfer spans
-  /// armed together so per-sample nesting stays coherent.  The quantiles remain
+  /// Enables hot-path profiler spans: delivery, the candidate build,
+  /// selection (core::decide), the export filter (per-path rules and
+  /// per-peer targets), and per-peer Transfer (diff + enqueue) wall times
+  /// observed into volatile span histograms (engine.span.*_ns) on the
+  /// attached registry.  Off by default; when off the instrumented sites
+  /// cost one null-pointer branch and never read the clock, so the
+  /// deterministic outputs stay bit-identical (same bar as the
+  /// provenance-sink specialization).  Enabled spans are *sampled*: 1 in 64
+  /// deliveries is timed (the first always is), with the delivery's nested
+  /// candidate/decision/export/transfer spans armed together so per-sample
+  /// nesting stays coherent.  The quantiles remain
   /// statistically sound at churn rates while the amortized clock cost
   /// keeps enabled overhead well under the 5% CI gate.
   /// Requires set_metrics first (no-op sink otherwise).  Same precondition
@@ -550,6 +551,12 @@ class EventEngine {
     return nodes_.at(v).holders.at(p);
   }
 
+  /// Node v's candidate index: every path v currently owns (E-BGP) or hears
+  /// from some peer, ascending — the paths reconsider() selects among.
+  [[nodiscard]] std::span<const PathId> candidate_paths(NodeId v) const {
+    return nodes_.at(v).candidate_paths;
+  }
+
   /// The subset of rib_in(v, p) currently marked stale (retained across a
   /// peer's graceful restart, not yet refreshed or swept), ascending.
   [[nodiscard]] std::span<const NodeId> stale_rib_in(NodeId v, PathId p) const {
@@ -667,12 +674,17 @@ class EventEngine {
     bool clients_only = false;
     bool skip_cluster_reflectors = false;
 
-    [[nodiscard]] bool admits(NodeId peer, PeerClass cls) const {
-      return peer != exit_point && peer != source &&
-             !(skip_cluster_reflectors && cls == PeerClass::kClusterReflector) &&
+    /// The class part of the filter: what a peer that is neither the exit
+    /// point nor the source receives.
+    [[nodiscard]] bool admits_class(PeerClass cls) const {
+      return !(skip_cluster_reflectors && cls == PeerClass::kClusterReflector) &&
              (!clients_only || cls == PeerClass::kOwnClient);
     }
+    [[nodiscard]] bool admits(NodeId peer, PeerClass cls) const {
+      return peer != exit_point && peer != source && admits_class(cls);
+    }
   };
+  static constexpr std::size_t kPeerClassCount = 3;
 
   struct NodeState {
     /// holders[p] = session peers currently announcing p to us, ascending.
@@ -687,8 +699,12 @@ class EventEngine {
     /// stale[p] ⊆ holders[p]: entries retained across the peer's graceful
     /// restart, pending refresh (re-announce), EoR sweep, or timer expiry.
     std::vector<std::vector<NodeId>> stale;
-    /// Own E-BGP paths currently injected.
+    /// Own E-BGP paths currently injected.  Change through set_own.
     std::vector<bool> own;
+    /// The candidate index: {p : own[p] || lowest_holder[p] != kNoNode},
+    /// ascending.  Kept current by set_own and insert_holder/erase_holder;
+    /// restore() rebuilds it (it is derived, never checkpointed).
+    std::vector<PathId> candidate_paths;
     std::optional<bgp::RouteView> best;
     /// advertised_out[peer_index] = path set last sent to that peer.
     std::vector<std::vector<PathId>> advertised_out;
@@ -697,6 +713,14 @@ class EventEngine {
     std::vector<std::vector<PathId>> desired_out;
     std::vector<SimTime> mrai_ready;
     std::vector<bool> flush_scheduled;
+    /// class_out[c]: the export target of peer class c at this node's last
+    /// decision.  settled[i] != 0: at peer i's last visit no rule named it,
+    /// its desired_out was its class target, already advertised, and it was
+    /// outside hold-down — so while that class target stays the same, a
+    /// visit would change nothing.  Every reset of the peer's send state
+    /// (reset_peer) clears the flag; restore() clears them all.
+    std::array<std::vector<PathId>, kPeerClassCount> class_out;
+    std::vector<std::uint8_t> settled;
   };
 
   void enqueue_update(NodeId from, NodeId to, PathId path, bool announce, SimTime now);
@@ -708,9 +732,13 @@ class EventEngine {
   void sync_peer(NodeId u, std::size_t peer_index, SimTime now);
   [[nodiscard]] std::size_t peer_index(NodeId u, NodeId peer) const;
   /// Adds v to / removes v from node.holders[p] (no-op if already so),
-  /// keeping lowest_holder[p] current.
+  /// keeping lowest_holder[p] and the candidate index current.
   void insert_holder(NodeState& node, PathId p, NodeId v) const;
   void erase_holder(NodeState& node, PathId p, NodeId v) const;
+  /// Sets node.own[p], keeping the candidate index current.
+  static void set_own(NodeState& node, PathId p, bool own);
+  /// Adds p to (candidate) or removes it from the candidate index.
+  static void index_path(NodeState& node, PathId p, bool candidate);
   /// The lowest-BGP-id member of an ascending holder list (kNoNode if empty).
   [[nodiscard]] NodeId lowest_of(std::span<const NodeId> holders) const;
   /// Trace records of a decision and of a fault, built out of line so the
@@ -737,6 +765,8 @@ class EventEngine {
   void sever_session(NodeId u, NodeId v);
   /// Clears everything node u tracks about session u—peer.
   void flush_endpoint(NodeId u, NodeId peer);
+  /// Clears the send state toward one peer (advertised, desired, MRAI).
+  static void reset_peer(NodeState& node, std::size_t peer_index);
   /// Voids in-flight messages on v—w and resets both ends' send state, but
   /// leaves w's Adj-RIB-In entries from v in place, marked stale — the
   /// graceful analogue of sever_session.
@@ -775,7 +805,15 @@ class EventEngine {
   std::vector<NodeState> nodes_;
   // reconsider() scratch, reused across decisions (never live across one).
   std::vector<bgp::Candidate> candidates_;
+  core::NodeDecision decision_;
+  bgp::SelectionScratch selection_scratch_;
   std::vector<ExportRule> export_rules_;
+  std::array<std::vector<PathId>, kPeerClassCount> class_targets_;  // by PeerClass
+  std::vector<std::size_t> visit_;  // peer indices the decision must visit
+  // named_stamp_[v] == export_stamp_: some export rule of the current
+  // decision names node v as its exit point or source.
+  std::uint64_t export_stamp_ = 0;
+  std::vector<std::uint64_t> named_stamp_;
   std::vector<SimTime> session_last_delivery_;  // FIFO enforcement, per directed session
   std::vector<std::uint64_t> session_epoch_;  // bumped per reset, voids in-flight msgs
   std::vector<bool> session_admin_down_;      // explicit session faults (symmetric)
@@ -816,17 +854,19 @@ class EventEngine {
   /// clock.  The span sites read the `live_*` pointers, armed once per
   /// delivery by arm(): every 64th delivery (and always the first) gets
   /// real sinks, the rest get null.  Sampling the whole delivery — outer
-  /// span plus its nested decision/export/transfer spans — keeps each
-  /// sample's nesting coherent and bounds enabled overhead to a fraction
-  /// of a clock read per delivery.
+  /// span plus its nested candidate/decision/export/transfer spans — keeps
+  /// each sample's nesting coherent and bounds enabled overhead to a
+  /// fraction of a clock read per delivery.
   struct ProfileHandles {
     obs::Histogram* delivery = nullptr;
+    obs::Histogram* candidates = nullptr;
     obs::Histogram* decision = nullptr;
     obs::Histogram* export_filter = nullptr;
     obs::Histogram* transfer = nullptr;
     static constexpr std::uint32_t kSampleMask = 63;
     std::uint32_t tick = kSampleMask;  // first arm() samples
     obs::Histogram* live_delivery = nullptr;
+    obs::Histogram* live_candidates = nullptr;
     obs::Histogram* live_decision = nullptr;
     obs::Histogram* live_export_filter = nullptr;
     obs::Histogram* live_transfer = nullptr;
@@ -834,6 +874,7 @@ class EventEngine {
       if (delivery == nullptr) return;  // off: live_* stay null
       const bool sample = (++tick & kSampleMask) == 0;
       live_delivery = sample ? delivery : nullptr;
+      live_candidates = sample ? candidates : nullptr;
       live_decision = sample ? decision : nullptr;
       live_export_filter = sample ? export_filter : nullptr;
       live_transfer = sample ? transfer : nullptr;

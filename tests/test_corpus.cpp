@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analysis/stable_search.hpp"
+#include "engine/activation.hpp"
+#include "engine/oscillation.hpp"
 #include "explore/corpus.hpp"
 #include "explore/spec.hpp"
 #include "topo/dsl.hpp"
@@ -164,6 +169,59 @@ TEST(Corpus, MissingMagicIsDiagnosed) {
       "#! signature standard round-robin=converged synchronous=converged\n"
       "instance t\nnode A reflector 0\n",
       "missing '#! ibgp-corpus-v1'");
+}
+
+// --- the exact stable-solution search as a differential oracle ----------------
+
+/// Standard round-robin on an entry, run to its recorded step budget.
+engine::RunOutcome standard_round_robin(const CorpusEntry& entry, const core::Instance& inst) {
+  auto rr = engine::make_round_robin(inst.node_count());
+  engine::RunLimits limits;
+  limits.max_steps = entry.max_steps;
+  return engine::run_protocol(inst, core::ProtocolKind::kStandard, *rr, limits);
+}
+
+TEST(Corpus, StableSearchHonoursPerAsMedOverrides) {
+  // `med ignore` plus `med-override 3 per-as`: every exit goes through AS 3,
+  // so MEDs ARE compared.  Pruning with the global `ignore` counted RR1's
+  // own exit x5195 (MED 2) as E-BGP-dominant and lost the solution below,
+  // in which RR1 picks the MED-0 path 2.
+  const auto it = std::find_if(corpus().begin(), corpus().end(), [](const CorpusEntry& e) {
+    return e.name == "ce-351c79a5d95ae56a";
+  });
+  ASSERT_NE(it, corpus().end());
+  const auto inst = topo::parse_topo(it->topo_text);
+  const auto outcome = standard_round_robin(*it, inst);
+  ASSERT_TRUE(outcome.converged());
+  const analysis::StableSolution expected{2, 2, 2, 2, 2, 2, 1, 2};
+  ASSERT_EQ(outcome.final_best, expected);
+  EXPECT_TRUE(analysis::is_stable_standard(inst, expected));
+  const auto search = analysis::enumerate_stable_standard(inst);
+  ASSERT_TRUE(search.exhaustive);
+  EXPECT_NE(std::find(search.solutions.begin(), search.solutions.end(), expected),
+            search.solutions.end());
+}
+
+/// Corpus entries on which standard round-robin converges (a floor).
+constexpr std::size_t kConvergingEntries = 11;
+
+TEST(Corpus, ConvergedStandardRunsAreEnumeratedSolutions) {
+  // Differential oracle: wherever standard round-robin converges, its final
+  // tuple is a stable solution, so an exhaustive enumeration must list it.
+  std::size_t checked = 0;
+  for (const auto& entry : corpus()) {
+    SCOPED_TRACE(entry.name);
+    const auto inst = topo::parse_topo(entry.topo_text);
+    const auto outcome = standard_round_robin(entry, inst);
+    if (!outcome.converged()) continue;
+    const auto search = analysis::enumerate_stable_standard(inst);
+    ASSERT_TRUE(search.exhaustive);
+    EXPECT_NE(std::find(search.solutions.begin(), search.solutions.end(), outcome.final_best),
+              search.solutions.end());
+    ++checked;
+  }
+  // Not vacuous: the checked-in corpus has this many converging entries.
+  EXPECT_GE(checked, kConvergingEntries);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "engine/oscillation.hpp"
 #include "topo/figures.hpp"
 #include "topo/random.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace ibgp::engine {
@@ -548,10 +549,14 @@ bool any_stale(const EventEngine& engine) {
   return false;
 }
 
-TEST(EventEngine, ExportFilterMatchesPerPeerReferenceUnderChurn) {
-  // Multi-reflector clusters make the CLUSTER_LIST clause matter; MRAI,
-  // a graceful restart (stale holders), an E-BGP withdraw/re-announce and
-  // a link-cost fault move holders and distances between the steps.
+/// The churn scenarios the export, sync and candidate-index tests share:
+/// six random instances with multi-reflector clusters (so the CLUSTER_LIST
+/// clause matters) under all three protocols, MRAI on the even seeds, and a
+/// graceful restart (stale holders), an E-BGP withdraw/re-announce and a
+/// link-cost fault moving holders and distances between the steps.
+/// `step(inst, engine, protocol, result)` runs after every run(5) step.
+template <typename Step>
+void run_churn_scenarios(Step step) {
   topo::RandomConfig config;
   config.clusters = 4;
   config.min_clients = 1;
@@ -559,9 +564,6 @@ TEST(EventEngine, ExportFilterMatchesPerPeerReferenceUnderChurn) {
   config.second_reflector_prob = 0.6;
   config.exits = 6;
   config.neighbor_ases = 3;
-  std::size_t checked = 0;
-  std::size_t stale_steps = 0;
-  std::size_t epoch_swaps = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const auto inst = topo::random_instance(config, seed);
     const NodeId restarting = inst.clusters().all_reflectors().front();
@@ -580,19 +582,103 @@ TEST(EventEngine, ExportFilterMatchesPerPeerReferenceUnderChurn) {
       engine.withdraw_exit(0, 24);
       engine.schedule_restart(restarting, 35);
       engine.inject_exit(0, 50);
-      for (int step = 0; step < 150; ++step) {
+      for (int step_index = 0; step_index < 150; ++step_index) {
         const auto result = engine.run(5);
-        checked += expect_exports_match_reference(inst, engine, protocol);
+        step(inst, engine, protocol, result);
         if (::testing::Test::HasFailure()) return;
-        if (any_stale(engine)) ++stale_steps;
         if (result.converged) break;
       }
-      epoch_swaps += engine.counters().igp_epoch_swaps;
     }
   }
+}
+
+TEST(EventEngine, ExportFilterMatchesPerPeerReferenceUnderChurn) {
+  std::size_t checked = 0;
+  std::size_t stale_steps = 0;
+  std::size_t epoch_steps = 0;
+  run_churn_scenarios([&](const core::Instance& inst, const EventEngine& engine,
+                          ProtocolKind protocol, const EventEngine::Result&) {
+    checked += expect_exports_match_reference(inst, engine, protocol);
+    if (any_stale(engine)) ++stale_steps;
+    if (engine.counters().igp_epoch_swaps > 0) ++epoch_steps;
+  });
   EXPECT_GT(checked, 1000u);
   EXPECT_GT(stale_steps, 0u) << "no step saw a stale holder";
-  EXPECT_GT(epoch_swaps, 0u) << "no link fault swapped an IGP epoch";
+  EXPECT_GT(epoch_steps, 0u) << "no link fault swapped an IGP epoch";
+}
+
+TEST(EventEngine, SkippedPeerSyncsAreNoOps) {
+  // reconsider() skips sync_peer for a peer whose target already equals
+  // what it advertised, outside MRAI hold-down.  Sound only if such a call
+  // would have sent nothing: so every up session that is outside hold-down
+  // with no flush scheduled must be in sync after every step...
+  std::size_t checked = 0;
+  std::size_t held = 0;
+  util::Fingerprint digest;
+  run_churn_scenarios([&](const core::Instance& inst, const EventEngine& engine,
+                          ProtocolKind, const EventEngine::Result& result) {
+    const EngineState state = engine.capture();
+    for (NodeId u = 0; u < inst.node_count(); ++u) {
+      const auto peers = inst.sessions().peers(u);
+      const auto& snap = state.nodes[u];
+      for (std::size_t i = 0; i < peers.size(); ++i) {
+        if (!engine.session_up(u, peers[i])) continue;
+        if (snap.flush_scheduled[i] || state.end_time < snap.mrai_ready[i]) {
+          ++held;
+          continue;
+        }
+        EXPECT_EQ(snap.advertised_out[i], snap.desired_out[i])
+            << "node " << u << " -> peer " << peers[i] << " at t=" << state.end_time;
+        ++checked;
+      }
+    }
+    // ...and the run must be the one that called sync_peer for every peer:
+    // the same deliveries, sends, MRAI deferrals and flips at every step.
+    digest.add(result.deliveries).add(result.end_time).add(result.events_pending);
+    for (const EngineCounterField& field : kEngineCounterFields) {
+      digest.add(result.*field.member);
+    }
+  });
+  EXPECT_GT(checked, 10000u);
+  EXPECT_GT(held, 100u) << "no step saw an MRAI hold-down";
+  // Pinned from an engine that calls sync_peer for every session peer on
+  // every decision.
+  constexpr std::uint64_t kEveryPeerSyncedDigest = 0xd75b61edc0e7370cULL;
+  EXPECT_EQ(digest.value(), kEveryPeerSyncedDigest) << std::hex << digest.value();
+}
+
+TEST(EventEngine, CandidateIndexMatchesBruteForceUnderChurn) {
+  // Each node's candidate index must be {p : own[p] || some peer holds p},
+  // ascending, after every step — and again in an engine restored from a
+  // checkpoint of that step, which rebuilds the index from scratch.
+  std::size_t checked = 0;
+  std::size_t restored = 0;
+  std::size_t step_count = 0;
+  const auto expect_index = [&](const EventEngine& engine, const EngineState& state) {
+    const auto& inst = engine.instance();
+    for (NodeId v = 0; v < inst.node_count(); ++v) {
+      std::vector<PathId> expected;
+      for (PathId p = 0; p < inst.exits().size(); ++p) {
+        if (state.nodes[v].own[p] || !state.nodes[v].holders[p].empty()) expected.push_back(p);
+      }
+      const auto index = engine.candidate_paths(v);
+      EXPECT_EQ(std::vector<PathId>(index.begin(), index.end()), expected) << "node " << v;
+      ++checked;
+    }
+  };
+  run_churn_scenarios([&](const core::Instance& inst, const EventEngine& engine,
+                          ProtocolKind protocol, const EventEngine::Result&) {
+    const EngineState state = engine.capture();
+    expect_index(engine, state);
+    if (++step_count % 7 == 0) {
+      EventEngine fresh(inst, protocol);
+      fresh.restore(state);
+      expect_index(fresh, state);
+      ++restored;
+    }
+  });
+  EXPECT_GT(checked, 10000u);
+  EXPECT_GT(restored, 50u);
 }
 
 }  // namespace

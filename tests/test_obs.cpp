@@ -645,6 +645,9 @@ TEST(Span, ProfileRunKeepsDeterministicSnapshotIdentical) {
   EXPECT_GT(obs::span_histogram(profiled_reg, "engine.span.delivery_ns").total(), 0u);
   EXPECT_GT(obs::span_histogram(profiled_reg, "engine.span.decision_ns").total(), 0u);
   EXPECT_GT(obs::span_histogram(profiled_reg, "engine.span.transfer_ns").total(), 0u);
+  // Every sampled decision times its candidate build too.
+  EXPECT_EQ(obs::span_histogram(profiled_reg, "engine.span.candidates_ns").total(),
+            obs::span_histogram(profiled_reg, "engine.span.decision_ns").total());
 }
 
 TEST(Span, SpfRecomputeTimedWheneverMetricsAttached) {
